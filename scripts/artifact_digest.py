@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the artifacts a fixed set of small CLI runs writes.
+
+Each run goes through ``modev.cli.main`` in this process with one worker,
+in a temporary directory, and every file it writes (the manifest included)
+is printed as one line ``<sha256>  <subcommand>/<config>/<artifact>``.  The
+configs are fixed, so two checkouts print the same lines exactly when their
+artifacts are byte-identical.  To compare a change against its parent, run
+the script from each checkout (copy it into one that lacks it) and diff the
+two outputs:
+
+    python3 scripts/artifact_digest.py > digest.txt
+
+The ``src`` directory next to this script is put first on ``sys.path``, so
+the digests are of the checkout the script sits in.  The whole set takes
+well under a minute on one core.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import logging
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from modev.cli import main as cli_main  # noqa: E402
+
+HALF = {"shape": "half_space", "d": 1, "a": [1.0], "c": 1.0}
+SCHEDULE = {"n_values": [64, 256], "alpha": 0.25, "c": 1.0}
+BUDGET = {"n_reps": 300, "min_reps": 100}
+LAN = {"n_values": [64, 256], "u_multipliers": [0.5, 1.0, 2.0], "radius": 2.0}
+
+# (subcommand, config name, config)
+RUNS = [
+    ("lan-check", "gaussian", {"family": "gaussian", "theta0": [0.0], **LAN}),
+    ("lan-check", "laplace", {"family": "laplace", "theta0": [0.0], **LAN}),
+    ("lan-check", "gaussian2", {"family": "gaussian2", "theta0": [0.0, 0.0], "b": [0.0, 0.0],
+                                **LAN}),
+]
+for _family, _theta0 in (("gaussian", [0.0]), ("bernoulli", [0.5]), ("exponential", [1.0]),
+                         ("gaussian2", [0.0, 0.0])):
+    RUNS.append(("equivalence", _family, {
+        "family": _family, "theta0": _theta0, "seed": 3, "delta": 0.125,
+        "schedule": SCHEDULE, "budget": BUDGET,
+    }))
+for _name, _extra in (
+    ("bayes-squared", {"event": "bayes", "loss": {"kind": "power", "p": 2.0}}),
+    ("bayes-absolute", {"event": "bayes", "loss": {"kind": "power", "p": 1.0}}),
+    ("psi", {"event": "psi"}),
+):
+    RUNS.append(("ldp-curve", _name, {
+        "family": "gaussian", "theta0": [0.0], "seed": 5, "region": HALF,
+        "schedule": SCHEDULE, "budget": BUDGET, **_extra,
+    }))
+for _name, _prior in (("flat", {"kind": "flat"}),
+                      ("gaussian-prior", {"kind": "gaussian", "mean": [0.1], "sd": 0.5})):
+    RUNS.append(("posterior-concentration", _name, {
+        "family": "gaussian", "theta0": [0.0], "seed": 11, "region": HALF, "prior": _prior,
+        "schedule": SCHEDULE, "budget": BUDGET, "grid_dump_resolution": 64,
+    }))
+RUNS.append(("check-conditions", "bernoulli", {"family": "bernoulli", "theta0": [0.5]}))
+
+
+def main() -> int:
+    logging.disable(logging.INFO)
+    warnings.simplefilter("ignore")  # degenerate-weight and overflow warnings are expected here
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, name, cfg in RUNS:
+            run_dir = Path(tmp) / command / name
+            run_dir.mkdir(parents=True)
+            cfg_path = run_dir / "config.json"
+            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            out = run_dir / "out"
+            rc = cli_main([command, "--config", str(cfg_path), "--out", str(out), "--workers", "1"])
+            if rc != 0:
+                print(f"exit {rc}  {command}/{name}", flush=True)
+                status = 1
+                continue
+            for path in sorted(out.iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {command}/{name}/{path.name}", flush=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

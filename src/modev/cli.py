@@ -134,6 +134,10 @@ def _build_event(kind: str, region, prior, loss, resolution: int, threshold: flo
 def run_check_conditions(cfg: ConditionsConfig, workers: int, out_dir: Path) -> list[str]:
     fam = family_from_config(cfg.family)
     theta0 = _theta0(cfg.theta0, fam)
+    if "d" in cfg.checks and not cfg.d_m > fam.d:
+        raise ConfigError(f"d_m must exceed the parameter dimension {fam.d}")
+    if "e" in cfg.checks and not (cfg.e_beta1 > fam.d and cfg.e_beta2 > fam.d):
+        raise ConfigError(f"e_beta1 and e_beta2 must exceed the parameter dimension {fam.d}")
     axes = [np.eye(fam.d)[i] for i in range(fam.d)]
     reports = []
 
@@ -206,7 +210,7 @@ def run_lan_check(cfg: LanCheckConfig, workers: int, out_dir: Path) -> list[str]
             ld = lan_residual(fam, sample, theta0, b, u_vec, policy)
             rows.append(
                 ",".join(
-                    [str(n), _fmt(u_n), _fmt(cfg.eps), _fmt(b[0]), _fmt(u_vec[0] if fam.d == 1 else m * u_n),
+                    [str(n), _fmt(u_n), _fmt(cfg.eps), _fmt(b[0]), _fmt(u_vec[0]),
                      _fmt(ld.sum_xi), _fmt(ld.zeta)]
                     + [_fmt(p) for p in ld.psi]
                     + [_fmt(ld.residual)]
@@ -294,11 +298,7 @@ def run_posterior_concentration(
     u_n = schedule.u_of(n)
     b = schedule.b if schedule.b is not None else np.zeros(fam.d)
     sample = draw_sample(fam, theta0 + u_n * b, n, cfg.seed * 1_000_003 + 777)
-    pilot = fam.closed_form_mle(sample.observations)
-    if pilot is None:
-        from .estimators import mle
-
-        pilot = mle(sample, fam).theta_hat
+    pilot = fam.mle_batch(sample.observations[None])[0]
     box = default_posterior_box(fam, pilot, n, u_n)
     post = posterior_grid(sample, fam, prior, box, max(cfg.grid_dump_resolution, 64))
     artifacts.append(_write_text(out_dir / "posterior_grid.txt", post.dump_text()))

@@ -87,11 +87,6 @@ def _jsonable(obj):
     return obj
 
 
-def _theta_scalar(fam, theta):
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    return t if fam.d > 1 else float(t[0])
-
-
 def _crossings(fn: Callable[[float], float], lo: float, hi: float, n: int = 4001) -> list[float]:
     """Roots of fn on [lo, hi] located by scan plus bisection refinement."""
     xs = np.linspace(lo, hi, n)
@@ -127,19 +122,15 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
     if uniq.min() > 1e-3 * (1 + 1e-9) or uniq.max() / uniq.min() < 100.0 * (1 - 1e-9):
         raise GridError("tau grid must span two decades down to 1e-3")
 
-    th = _theta_scalar(fam, theta0)
     per_mag: dict[float, float] = {}
     for tau in tau_grid:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         m = float(np.linalg.norm(tau))
         t1 = theta0 + tau
-        ts = t1 if fam.d > 1 else float(t1[0])
 
-        def integrand(x, ts=ts, tau=tau):
-            g = np.exp(0.5 * (fam.log_density(x, ts) - fam.log_density(x, th))) - 1.0
-            p = fam.score_phi(x, th)
-            lin = tau[0] * p if fam.d == 1 else np.asarray(p) @ tau
-            return (g - lin) ** 2
+        def integrand(x, t1=t1, tau=tau):
+            g = np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
+            return (g - fam.score_phi(x, theta0) @ tau) ** 2
 
         breaks = [float(t1[0])] if fam.obs_dim == 1 else []
         r = expect(fam, theta0, integrand, breaks=breaks)
@@ -327,13 +318,11 @@ def check_moment_b(
 
 
 def _truncated_lr_moment(fam, theta, tau, eps, gamma_n) -> tuple[float, bool]:
-    th = _theta_scalar(fam, theta)
-    t1 = np.atleast_1d(theta) + np.atleast_1d(tau)
-    ts = t1 if fam.d > 1 else float(t1[0])
+    t1 = theta + tau
 
     def delta(x):
         xa = np.asarray(x, dtype=float)
-        return fam.log_density(xa, ts) - fam.log_density(xa, th)
+        return fam.log_density(xa, t1) - fam.log_density(xa, theta)
 
     if np.allclose(tau, 0.0):
         return 0.0, False
@@ -344,7 +333,7 @@ def _truncated_lr_moment(fam, theta, tau, eps, gamma_n) -> tuple[float, bool]:
         for x in (0.0, 1.0):
             d = float(delta(np.array(x)))
             if abs(d) > eps:
-                term = math.exp(gamma_n * d + float(fam.log_density(np.array(x), th)))
+                term = math.exp(gamma_n * d + float(fam.log_density(np.array(x), theta)))
                 if term > 1e300:
                     ovf = True
                 total += term
@@ -354,7 +343,7 @@ def _truncated_lr_moment(fam, theta, tau, eps, gamma_n) -> tuple[float, bool]:
     # pieces whose interior satisfies the indicator.
     tau_n = float(np.linalg.norm(np.atleast_1d(tau)))
     span = 2.0 * eps / max(tau_n, 1e-8) + 60.0
-    center = float(np.atleast_1d(theta)[0])
+    center = float(theta[0])
     lo = 0.0 if fam.support.kind == "halfline" else center - span
     hi = center + span
     cross = sorted(
@@ -375,7 +364,7 @@ def _truncated_lr_moment(fam, theta, tau, eps, gamma_n) -> tuple[float, bool]:
         d = float(delta(np.array(x)))
         if abs(d) <= eps:
             return 0.0
-        v = gamma_n * d + float(fam.log_density(np.array(x), th))
+        v = gamma_n * d + float(fam.log_density(np.array(x), theta))
         if v > 690.0:  # exp would exceed ~1e300
             ovf = True
             return 1e300
@@ -437,13 +426,12 @@ def check_exp_moment(
         if not fam.theta_domain.contains(theta):
             continue
         _detect_divergence(fam, theta, envelope_h, gamma)
-        th = theta if fam.d > 1 else float(theta[0])
 
-        def integrand(x, th=th):
+        def integrand(x, theta=theta):
             xa = np.asarray(x, dtype=float)
             # single exp of the summed exponents: exp(gamma h) alone overflows
             # where the density underflows, and inf * 0 poisons the quadrature
-            return np.exp(gamma * np.asarray(envelope_h(xa)) + fam.log_density(xa, th))
+            return np.exp(gamma * np.asarray(envelope_h(xa)) + fam.log_density(xa, theta))
 
         try:
             val = integrate_support(
@@ -472,12 +460,11 @@ def check_exp_moment(
 def _detect_divergence(fam, theta, h, gamma):
     if fam.support.kind == "binary":
         return
-    th = _theta_scalar(fam, theta)
-    center = float(np.atleast_1d(theta)[0]) if fam.obs_dim == 1 else 0.0
+    center = float(theta[0]) if fam.obs_dim == 1 else 0.0
 
     def log_integrand(x):
         xa = np.asarray(x, dtype=float)
-        return gamma * float(np.asarray(h(xa))) + float(fam.log_density(xa, th))
+        return gamma * float(np.asarray(h(xa))) + float(fam.log_density(xa, theta))
 
     probes = [center + 10.0, center + 20.0, center + 40.0, center + 80.0]
     if fam.support.kind == "real":
@@ -516,7 +503,6 @@ def check_c(
     if u.size < 3 or np.any(u <= 0) or np.any(np.diff(u) >= 0):
         raise GridError("u_grid must be positive, strictly decreasing, length >= 3")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    th = _theta_scalar(fam, theta0)
     e1 = np.zeros(fam.d)
     e1[0] = 1.0
     fisher = fisher_information(fam, theta0)
@@ -528,16 +514,13 @@ def check_c(
     for k, uk in enumerate(u):
         tau = uk * e1
         t1 = theta0 + tau
-        ts = t1 if fam.d > 1 else float(t1[0])
 
-        def resid2(x, ts=ts, tau=tau):
-            g = np.exp(0.5 * (fam.log_density(x, ts) - fam.log_density(x, th))) - 1.0
-            p = fam.score_phi(x, th)
-            lin = tau[0] * p if fam.d == 1 else np.asarray(p) @ tau
-            return (g - lin) ** 2
+        def resid2(x, t1=t1, tau=tau):
+            g = np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
+            return (g - fam.score_phi(x, theta0) @ tau) ** 2
 
-        def g2(x, ts=ts):
-            g = np.exp(0.5 * (fam.log_density(x, ts) - fam.log_density(x, th))) - 1.0
+        def g2(x, t1=t1):
+            g = np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
             return g * g
 
         breaks = [float(t1[0])] if fam.obs_dim == 1 else [t1]
@@ -588,27 +571,22 @@ def check_c(
 
 
 def _truncated_phi_second_moment(fam, theta0, threshold: float) -> float:
-    th = _theta_scalar(fam, theta0)
-
     def h(x):
-        p = np.asarray(fam.score_phi(x, th), dtype=float)
-        sq = p * p if fam.d == 1 else np.sum(p * p, axis=-1)
-        nrm = np.abs(p) if fam.d == 1 else np.sqrt(sq)
-        return np.where(nrm > threshold, sq, 0.0)
+        p = fam.score_phi(x, theta0)
+        sq = np.sum(p * p, axis=-1)
+        return np.where(np.sqrt(sq) > threshold, sq, 0.0)
 
     if fam.support.kind == "binary":
         return expect(fam, theta0, h)
     if fam.support.kind == "real2":
         return _truncated_phi2_polar(fam, theta0, threshold)
     # Breakpoints where |phi| crosses the threshold keep the integrand piecewise smooth.
-    center = float(np.atleast_1d(theta0)[0])
+    center = float(theta0[0])
     lo = 0.0 if fam.support.kind == "halfline" else center - 8.0 * (threshold + 1.0)
     hi = center + 8.0 * (threshold + 1.0)
 
     def norm_minus_thr(x):
-        p = np.asarray(fam.score_phi(np.asarray(x, dtype=float), th), dtype=float)
-        nrm = float(np.abs(p)) if fam.d == 1 else float(np.linalg.norm(p))
-        return nrm - threshold
+        return float(np.linalg.norm(fam.score_phi(np.asarray(x, dtype=float), theta0))) - threshold
 
     breaks = _crossings(norm_minus_thr, lo, hi, n=2001)
     return expect(fam, theta0, h, breaks=breaks)
@@ -623,8 +601,7 @@ def _truncated_phi2_polar(fam, theta0, threshold: float) -> float:
     Gauss-Legendre; the trapezoid rule over the angle converges geometrically
     for the smooth periodic remainder.
     """
-    th = _theta_scalar(fam, theta0)
-    center = np.atleast_1d(np.asarray(theta0, dtype=float))
+    center = theta0
     nodes, wts = np.polynomial.legendre.leggauss(24)
     scan_hi = 14.0 + 8.0 * (threshold + 1.0)
     rgrid = np.linspace(0.0, scan_hi, 2001)
@@ -635,11 +612,11 @@ def _truncated_phi2_polar(fam, theta0, threshold: float) -> float:
         direction = np.array([math.cos(ang), math.sin(ang)])
 
         def radial_excess(r, direction=direction):
-            p = np.asarray(fam.score_phi(center + r * direction, th), dtype=float)
+            p = fam.score_phi(center + r * direction, center)
             return float(np.linalg.norm(p)) - threshold
 
-        p = np.asarray(fam.score_phi(center[None, :] + rgrid[:, None] * direction[None, :], th))
-        excess = np.sqrt(np.sum(np.asarray(p, dtype=float) ** 2, axis=-1)) - threshold
+        p = fam.score_phi(center[None, :] + rgrid[:, None] * direction[None, :], center)
+        excess = np.sqrt(np.sum(p**2, axis=-1)) - threshold
         finite = np.isfinite(excess[:-1]) & np.isfinite(excess[1:])
         idx = np.nonzero(finite & (excess[:-1] * excess[1:] < 0))[0]
         cross = [
@@ -662,9 +639,9 @@ def _truncated_phi2_polar(fam, theta0, threshold: float) -> float:
         r = np.concatenate(rs)
         w = np.concatenate(ws)
         x = center[None, :] + r[:, None] * direction[None, :]
-        pv = np.asarray(fam.score_phi(x, th), dtype=float)
+        pv = fam.score_phi(x, center)
         sq = np.sum(pv * pv, axis=-1)
-        dens = np.exp(fam.log_density(x, th))
+        dens = np.exp(fam.log_density(x, center))
         total += float((sq * dens * r) @ w)
     return total * (2.0 * math.pi / n_ang)
 
@@ -683,8 +660,7 @@ def check_d(fam: ParametricFamily, m: float, bound: float = DEFAULT_BOUND) -> Co
     """sup over a theta grid of E_theta |grad log f|^m, m > d."""
     if not m > fam.d:
         raise GridError(f"m must exceed the parameter dimension {fam.d}")
-    ae_gradient = fam.name == "laplace"
-    if ae_gradient:
+    if fam.gradient_ae:
         warnings.warn(
             "gradient only defined almost everywhere; a.e. value used",
             NonDifferentiableWarning,
@@ -705,12 +681,9 @@ def check_d(fam: ParametricFamily, m: float, bound: float = DEFAULT_BOUND) -> Co
 
     worst, worst_theta = 0.0, thetas[0]
     for theta in thetas:
-        th = _theta_scalar(fam, theta)
 
-        def h(x, th=th):
-            g = np.asarray(fam.grad_log_density(x, th), dtype=float)
-            mag = np.abs(g) if fam.d == 1 else np.linalg.norm(g, axis=-1)
-            return mag**m
+        def h(x, theta=theta):
+            return np.linalg.norm(fam.grad_log_density(x, theta), axis=-1) ** m
 
         val = expect(fam, theta, h)
         if val > worst:
@@ -721,7 +694,7 @@ def check_d(fam: ParametricFamily, m: float, bound: float = DEFAULT_BOUND) -> Co
     return ConditionReport(
         condition="D",
         verdict=verdict,
-        parameters={"m": m, "bound": bound, "gradient_ae": ae_gradient},
+        parameters={"m": m, "bound": bound, "gradient_ae": fam.gradient_ae},
         witnesses=[Witness({"theta": worst_theta}, float(worst), bound)],
     )
 
@@ -748,7 +721,6 @@ def check_e(
     if not (beta1 > fam.d and beta2 > fam.d):
         raise GridError("beta1 and beta2 must exceed the parameter dimension")
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    th = _theta_scalar(fam, theta0)
 
     witnesses = []
     fitted_c = 0.0
@@ -762,19 +734,13 @@ def check_e(
         if np.allclose(u, v):
             witnesses.append(Witness({"u": u, "v": v}, 0.0, 0.0))
             continue
-        au = tu if fam.d > 1 else float(tu[0])
-        av = tv if fam.d > 1 else float(tv[0])
         dvu = v - u
 
         def integrand(x):
-            lr = fam.log_density(x, av) - fam.log_density(x, au)
-            p = np.asarray(fam.score_phi(x, th), dtype=float)
-            if fam.d == 1:
-                nrm = np.abs(p)
-                lin = 2.0 * dvu[0] * np.where(nrm < eps, p, 0.0)
-            else:
-                nrm = np.linalg.norm(p, axis=-1)
-                lin = 2.0 * np.where((nrm < eps)[..., None], p, 0.0) @ dvu
+            lr = fam.log_density(x, tv) - fam.log_density(x, tu)
+            p = fam.score_phi(x, theta0)
+            nrm = np.linalg.norm(p, axis=-1)
+            lin = 2.0 * np.where((nrm < eps)[..., None], p, 0.0) @ dvu
             return np.abs(lr - lin) ** beta1
 
         breaks = (

@@ -31,7 +31,7 @@ from .errors import (
     ResolutionWarning,
     UnderflowError_,
 )
-from .families import Box, ParametricFamily, SampleBatch, fisher_information
+from .families import Box, ParametricFamily, SampleBatch, fisher_information, loglik_grid
 from .lan import TruncationPolicy, psi_n
 from .regions import RegionSpec
 
@@ -187,16 +187,6 @@ class MleResult:
     tie_broken: bool
 
 
-def _loglik_on_grid(fam: ParametricFamily, obs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Log-likelihood at many parameter points, via sufficient stats if possible."""
-    stats = fam.suff_stats(obs[None, ...])
-    if stats is not None:
-        return fam.loglik_from_stats(stats, obs.shape[0], thetas)[0]
-    if thetas.ndim == 1:
-        return np.array([fam.loglik(obs, float(t)) for t in thetas])
-    return np.array([fam.loglik(obs, t) for t in thetas])
-
-
 def _golden_max(f, a: float, b: float, tol: float) -> float:
     """Golden-section maximization; ties resolve toward the smaller argument."""
     c = b - _GOLDEN * (b - a)
@@ -225,13 +215,12 @@ def _newton_polish(
     on the log-likelihood, whose float noise exceeds the improvements here."""
     margin = 1e-12 * float(np.max(box.width()))
     cur = theta.astype(float).copy()
-    arg = (lambda t: float(t[0])) if fam.d == 1 else (lambda t: t)
     converged = False
     for _ in range(max_steps):
-        h = fam.hess_log_density(obs, arg(cur))
+        h = fam.hess_log_density(obs, cur)
         if h is None:
             break
-        g = np.atleast_1d(np.sum(fam.grad_log_density(obs, arg(cur)), axis=0))
+        g = np.sum(fam.grad_log_density(obs, cur), axis=0)
         if fam.d == 1:
             hs = float(np.sum(h))
             if not np.isfinite(hs) or hs >= 0.0:
@@ -251,7 +240,7 @@ def _newton_polish(
         accepted = False
         for t in (1.0, 0.5, 0.25, 0.125):
             cand = box.clip_interior(cur + t * delta, margin)
-            gc = np.atleast_1d(np.sum(fam.grad_log_density(obs, arg(cand)), axis=0))
+            gc = np.sum(fam.grad_log_density(obs, cand), axis=0)
             if float(np.linalg.norm(gc)) <= gn0:
                 cur = cand
                 accepted = True
@@ -290,7 +279,7 @@ def _mle_1d(fam, obs, box, search) -> MleResult:
     margin = 1e-9 * width
     m = max(2, int(math.ceil(width / step)) + 1)
     grid = np.linspace(lo + margin, hi - margin, m)
-    ll = _loglik_on_grid(fam, obs, grid)
+    ll = loglik_grid(fam, obs[None], grid[:, None])[0]
     best = float(np.max(ll))
     near = np.flatnonzero(ll >= best - 1e-12 * max(1.0, abs(best)))
     tie_broken = near.size > 1
@@ -300,16 +289,16 @@ def _mle_1d(fam, obs, box, search) -> MleResult:
     b = grid[min(i + 1, m - 1)]
 
     def f(t):
-        return fam.loglik(obs, float(t))
+        return fam.loglik(obs, np.array([t]))
 
     th = _golden_max(f, float(a), float(b), search.tol) if b > a else float(grid[i])
     theta = np.array([th])
     theta, converged = _newton_polish(fam, obs, theta, box, search.max_newton)
     return MleResult(
         theta_hat=theta,
-        loglik=fam.loglik(obs, float(theta[0])),
+        loglik=fam.loglik(obs, theta),
         n_restarts=1,
-        converged=converged or fam.hess_log_density(obs, float(theta[0])) is None,
+        converged=converged or fam.hess_log_density(obs, theta) is None,
         tie_broken=tie_broken,
     )
 
@@ -319,7 +308,7 @@ def _mle_nd(fam, obs, box, search) -> MleResult:
     axes = [np.linspace(box.lo[i] + margin, box.hi[i] - margin, 21) for i in range(fam.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    ll = _loglik_on_grid(fam, obs, nodes)
+    ll = loglik_grid(fam, obs[None], nodes)[0]
     best = float(np.max(ll))
     near = np.flatnonzero(ll >= best - 1e-12 * max(1.0, abs(best)))
     tie_broken = near.size > 1
@@ -335,7 +324,7 @@ def _mle_nd(fam, obs, box, search) -> MleResult:
         return -fam.loglik(obs, t)
 
     def neg_grad(t):
-        return -np.sum(np.asarray(fam.grad_log_density(obs, t)), axis=0)
+        return -np.sum(fam.grad_log_density(obs, t), axis=0)
 
     bounds = [(box.lo[i] + margin, box.hi[i] - margin) for i in range(fam.d)]
     cand, cand_ll = None, -math.inf
@@ -427,7 +416,7 @@ def posterior_grid(
         nodes = np.stack([m.ravel() for m in mesh], axis=-1)
 
     obs = np.asarray(sample.observations, dtype=float)
-    ll = _loglik_on_grid(fam, obs, nodes if fam.d > 1 else nodes[:, 0])
+    ll = loglik_grid(fam, obs[None], nodes)[0]
     lw = ll + prior.log_density(nodes)
     if not np.any(np.isfinite(lw)):
         raise UnderflowError_("all posterior grid weights underflow to -inf")
@@ -599,6 +588,5 @@ def test_statistics(
     wald = float(sample.n * diff @ fisher.matrix @ diff)
     psi = psi_n(fam, sample, theta0, policy, fisher=fisher)
     rao = float(4.0 * psi @ psi)
-    th0_arg = theta0 if fam.d > 1 else float(theta0[0])
-    lr = 2.0 * (res.loglik - fam.loglik(np.asarray(sample.observations, dtype=float), th0_arg))
+    lr = 2.0 * (res.loglik - fam.loglik(np.asarray(sample.observations, dtype=float), theta0))
     return StatTriple(wald=wald, rao=rao, lr=lr, theta_hat=res.theta_hat, psi=psi)

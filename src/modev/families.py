@@ -14,14 +14,17 @@ checkable rather than assumed.
 
 Observations are scalar for every family except the 2-d Gaussian location
 family, whose observations are points in R^2.  Evaluators broadcast over
-leading axes, so replication-by-observation matrices work directly.
+leading axes, so replication-by-observation matrices work directly.  Every
+family method takes theta as a float array whose last axis has length d and
+whose leading axes broadcast against the sample axes of x; one-parameter
+families read theta[..., 0], and score_phi carries a trailing axis of length d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from scipy import integrate
@@ -144,31 +147,24 @@ class ParametricFamily:
     obs_dim: int = 1
     theta_domain: Box = field(default_factory=lambda: Box(np.array([-1.0]), np.array([1.0])))
     support: Support = field(default_factory=lambda: Support("real"))
+    # the log density has kinks, so its gradient exists only almost everywhere
+    gradient_ae: ClassVar[bool] = False
 
     # -- density and scores ------------------------------------------------
     def log_density(self, x, theta):
         raise NotImplementedError
 
     def score_phi(self, x, theta):
-        """phi(x): first-order coefficient of g(x, tau) in tau.
+        """phi(x): first-order coefficient of g(x, tau) in tau, shaped (..., d).
 
         Generic fallback: central finite difference of g in each tau
         coordinate with step 1e-5 scaled by the parameter magnitude.
-        Scalar-parameter families return an x-shaped array; d=2 families
-        return (..., 2).
         """
-        theta = np.asarray(theta, dtype=float)
         scale = max(1.0, float(np.max(np.abs(theta))))
         h = 1e-5 * scale
         lf0 = self.log_density(x, theta)
-        if self.d == 1:
-            gp = np.exp(0.5 * (self.log_density(x, theta + h) - lf0)) - 1.0
-            gm = np.exp(0.5 * (self.log_density(x, theta - h) - lf0)) - 1.0
-            return (gp - gm) / (2.0 * h)
         cols = []
-        for j in range(self.d):
-            e = np.zeros(self.d)
-            e[j] = h
+        for e in np.eye(self.d) * h:
             gp = np.exp(0.5 * (self.log_density(x, theta + e) - lf0)) - 1.0
             gm = np.exp(0.5 * (self.log_density(x, theta - e) - lf0)) - 1.0
             cols.append((gp - gm) / (2.0 * h))
@@ -185,17 +181,11 @@ class ParametricFamily:
     def fisher_closed_form(self, theta) -> Optional[np.ndarray]:
         return None
 
-    def affinity_exact(self, theta0, tau) -> Optional[float]:
-        return None
-
     # -- sampling ----------------------------------------------------------
     def draw(self, rng: np.random.Generator, theta, n: int):
         raise NotImplementedError
 
     # -- estimator hooks ---------------------------------------------------
-    def closed_form_mle(self, obs) -> Optional[np.ndarray]:
-        return None
-
     def mle_batch(self, obs_mat) -> Optional[np.ndarray]:
         """Closed-form estimates for a (reps, n[, obs_dim]) stack, or None."""
         return None
@@ -205,7 +195,8 @@ class ParametricFamily:
         return None
 
     def loglik_from_stats(self, stats, n: int, thetas) -> Optional[np.ndarray]:
-        """(reps, G) log-likelihood up to an additive theta-free constant."""
+        """(reps, G) log-likelihood up to an additive theta-free constant, on a
+        grid (G, d) shared by the replications or one grid (reps, G, d) each."""
         return None
 
     # -- conveniences --------------------------------------------------
@@ -233,11 +224,10 @@ class GaussianLocation(ParametricFamily):
 
     def log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return -0.5 * _LOG_2PI - 0.5 * (x - theta) ** 2
+        return -0.5 * _LOG_2PI - 0.5 * (x - theta[..., 0]) ** 2
 
     def score_phi(self, x, theta):
-        return (np.asarray(x, dtype=float) - np.asarray(theta, dtype=float)) / 2.0
+        return (np.asarray(x, dtype=float)[..., None] - theta) / 2.0
 
     def hess_log_density(self, x, theta):
         return -np.ones_like(np.asarray(x, dtype=float))
@@ -245,15 +235,8 @@ class GaussianLocation(ParametricFamily):
     def fisher_closed_form(self, theta):
         return np.array([[1.0]])
 
-    def affinity_exact(self, theta0, tau):
-        t = float(np.linalg.norm(np.atleast_1d(tau)))
-        return math.exp(-t * t / 8.0)
-
     def draw(self, rng, theta, n):
-        return rng.standard_normal(n) + float(np.atleast_1d(theta)[0])
-
-    def closed_form_mle(self, obs):
-        return np.array([float(np.mean(obs))])
+        return rng.standard_normal(n) + theta[0]
 
     def mle_batch(self, obs_mat):
         return np.mean(obs_mat, axis=1)[:, None]
@@ -262,9 +245,8 @@ class GaussianLocation(ParametricFamily):
         return np.sum(obs_mat, axis=1)[:, None]
 
     def loglik_from_stats(self, stats, n, thetas):
-        th = np.asarray(thetas, dtype=float).reshape(-1)
-        s = stats[:, 0][:, None]
-        return th[None, :] * s - 0.5 * n * th[None, :] ** 2
+        th = thetas[..., 0]
+        return th * stats[:, :1] - 0.5 * n * th**2
 
 
 @dataclass(frozen=True)
@@ -281,11 +263,10 @@ class GaussianLocation2(ParametricFamily):
 
     def log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         return -_LOG_2PI - 0.5 * np.sum((x - theta) ** 2, axis=-1)
 
     def score_phi(self, x, theta):
-        return (np.asarray(x, dtype=float) - np.asarray(theta, dtype=float)) / 2.0
+        return (np.asarray(x, dtype=float) - theta) / 2.0
 
     def hess_log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -297,15 +278,8 @@ class GaussianLocation2(ParametricFamily):
     def fisher_closed_form(self, theta):
         return np.eye(2)
 
-    def affinity_exact(self, theta0, tau):
-        t = float(np.linalg.norm(np.atleast_1d(tau)))
-        return math.exp(-t * t / 8.0)
-
     def draw(self, rng, theta, n):
-        return rng.standard_normal((n, 2)) + np.asarray(theta, dtype=float)
-
-    def closed_form_mle(self, obs):
-        return np.mean(np.asarray(obs), axis=0)
+        return rng.standard_normal((n, 2)) + theta
 
     def mle_batch(self, obs_mat):
         return np.mean(obs_mat, axis=1)
@@ -314,8 +288,12 @@ class GaussianLocation2(ParametricFamily):
         return np.sum(obs_mat, axis=1)
 
     def loglik_from_stats(self, stats, n, thetas):
-        th = np.asarray(thetas, dtype=float).reshape(-1, 2)
-        return stats @ th.T - 0.5 * n * np.sum(th**2, axis=1)[None, :]
+        # the shared grid keeps the plain product: einsum rounds it differently
+        if thetas.ndim == 2:
+            lin = stats @ thetas.T
+        else:
+            lin = np.einsum("rk,rgk->rg", stats, thetas)
+        return lin - 0.5 * n * np.sum(thetas**2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -330,33 +308,24 @@ class Bernoulli(ParametricFamily):
 
     def log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+        theta = theta[..., 0]
         return x * np.log(theta) + (1.0 - x) * np.log1p(-theta)
 
     def score_phi(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+        x = np.asarray(x, dtype=float)[..., None]
         return (x - theta) / (2.0 * theta * (1.0 - theta))
 
     def hess_log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+        theta = theta[..., 0]
         return -x / theta**2 - (1.0 - x) / (1.0 - theta) ** 2
 
     def fisher_closed_form(self, theta):
-        t = float(np.atleast_1d(theta)[0])
+        t = theta[0]
         return np.array([[1.0 / (t * (1.0 - t))]])
 
-    def affinity_exact(self, theta0, tau):
-        t0 = float(np.atleast_1d(theta0)[0])
-        t1 = t0 + float(np.atleast_1d(tau)[0])
-        return math.sqrt(t0 * t1) + math.sqrt((1.0 - t0) * (1.0 - t1))
-
     def draw(self, rng, theta, n):
-        return (rng.random(n) < float(np.atleast_1d(theta)[0])).astype(float)
-
-    def closed_form_mle(self, obs):
-        return np.array([float(np.mean(obs))])
+        return (rng.random(n) < theta[0]).astype(float)
 
     def mle_batch(self, obs_mat):
         return np.mean(obs_mat, axis=1)[:, None]
@@ -365,9 +334,9 @@ class Bernoulli(ParametricFamily):
         return np.sum(obs_mat, axis=1)[:, None]
 
     def loglik_from_stats(self, stats, n, thetas):
-        th = np.asarray(thetas, dtype=float).reshape(-1)
-        k = stats[:, 0][:, None]
-        return k * np.log(th)[None, :] + (n - k) * np.log1p(-th)[None, :]
+        th = thetas[..., 0]
+        k = stats[:, :1]
+        return k * np.log(th) + (n - k) * np.log1p(-th)
 
 
 @dataclass(frozen=True)
@@ -382,33 +351,23 @@ class ExponentialRate(ParametricFamily):
 
     def log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+        theta = theta[..., 0]
         return np.log(theta) - theta * x
 
     def score_phi(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+        x = np.asarray(x, dtype=float)[..., None]
         return (1.0 / theta - x) / 2.0
 
     def hess_log_density(self, x, theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = theta[..., 0]
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(-1.0 / theta**2, np.broadcast_shapes(x.shape, theta.shape)).copy()
 
     def fisher_closed_form(self, theta):
-        t = float(np.atleast_1d(theta)[0])
-        return np.array([[1.0 / t**2]])
-
-    def affinity_exact(self, theta0, tau):
-        t0 = float(np.atleast_1d(theta0)[0])
-        t1 = t0 + float(np.atleast_1d(tau)[0])
-        return 2.0 * math.sqrt(t0 * t1) / (t0 + t1)
+        return np.array([[1.0 / theta[0] ** 2]])
 
     def draw(self, rng, theta, n):
-        return rng.exponential(1.0 / float(np.atleast_1d(theta)[0]), n)
-
-    def closed_form_mle(self, obs):
-        return np.array([1.0 / float(np.mean(obs))])
+        return rng.exponential(1.0 / theta[0], n)
 
     def mle_batch(self, obs_mat):
         return (1.0 / np.mean(obs_mat, axis=1))[:, None]
@@ -417,9 +376,8 @@ class ExponentialRate(ParametricFamily):
         return np.sum(obs_mat, axis=1)[:, None]
 
     def loglik_from_stats(self, stats, n, thetas):
-        th = np.asarray(thetas, dtype=float).reshape(-1)
-        s = stats[:, 0][:, None]
-        return n * np.log(th)[None, :] - s * th[None, :]
+        th = thetas[..., 0]
+        return n * np.log(th) - stats[:, :1] * th
 
 
 @dataclass(frozen=True)
@@ -436,29 +394,20 @@ class LaplaceLocation(ParametricFamily):
     obs_dim: int = 1
     theta_domain: Box = field(default_factory=lambda: Box(np.array([-10.0]), np.array([10.0])))
     support: Support = field(default_factory=lambda: Support("real"))
+    gradient_ae: ClassVar[bool] = True
 
     def log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return -math.log(2.0) - np.abs(x - theta)
+        return -math.log(2.0) - np.abs(x - theta[..., 0])
 
     def score_phi(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return np.sign(x - theta) / 2.0
+        return np.sign(np.asarray(x, dtype=float)[..., None] - theta) / 2.0
 
     def fisher_closed_form(self, theta):
         return np.array([[1.0]])
 
-    def affinity_exact(self, theta0, tau):
-        t = abs(float(np.atleast_1d(tau)[0]))
-        return (1.0 + t / 2.0) * math.exp(-t / 2.0)
-
     def draw(self, rng, theta, n):
-        return rng.laplace(float(np.atleast_1d(theta)[0]), 1.0, n)
-
-    def closed_form_mle(self, obs):
-        return np.array([float(np.median(obs))])
+        return rng.laplace(theta[0], 1.0, n)
 
     def mle_batch(self, obs_mat):
         return np.median(obs_mat, axis=1)[:, None]
@@ -471,6 +420,24 @@ _FAMILIES: dict[str, Callable[[], ParametricFamily]] = {
     "exponential": ExponentialRate,
     "laplace": LaplaceLocation,
 }
+
+
+def loglik_grid(fam: ParametricFamily, obs, thetas) -> np.ndarray:
+    """(R, G) log-likelihoods of the replication rows of obs on a parameter grid.
+
+    obs is (R, n[, obs_dim]); thetas is one grid (G, d) shared by every row
+    or one grid (R, G, d) per row.  A family with a sufficient statistic is
+    evaluated through it, up to a theta-free constant; any other sums the log
+    density over the sample one grid point at a time, so that no (R, G, n)
+    temporary is held.
+    """
+    stats = fam.suff_stats(obs)
+    if stats is not None:
+        return fam.loglik_from_stats(stats, obs.shape[1], thetas)
+    out = np.empty((obs.shape[0], thetas.shape[-2]))
+    for g in range(thetas.shape[-2]):
+        out[:, g] = np.sum(fam.log_density(obs, thetas[..., g, None, :]), axis=-1)
+    return out
 
 
 def family_names() -> list[str]:
@@ -582,10 +549,9 @@ def integrate_support(fam: ParametricFamily, fn, breaks=()) -> float:
 def expect(fam: ParametricFamily, theta, h, breaks=()) -> float:
     """E_theta[h(X)] by quadrature or exact summation."""
     theta = _as_theta(fam, theta)
-    th = theta if fam.d > 1 else float(theta[0])
 
     def integrand(x):
-        return h(x) * np.exp(fam.log_density(x, th))
+        return h(x) * np.exp(fam.log_density(x, theta))
 
     theta_breaks = list(breaks) + ([float(theta[0])] if fam.obs_dim == 1 else [theta])
     return integrate_support(fam, integrand, theta_breaks)
@@ -601,8 +567,7 @@ def log_density(fam: ParametricFamily, x, theta):
     theta = _as_theta(fam, theta)
     if not fam.support.check(np.asarray(x, dtype=float)):
         raise SupportError(f"observation outside support of {fam.name}")
-    th = theta if fam.d > 1 else float(theta[0])
-    return fam.log_density(np.asarray(x, dtype=float), th)
+    return fam.log_density(np.asarray(x, dtype=float), theta)
 
 
 def draw_sample(fam: ParametricFamily, theta, n: int, seed: int) -> SampleBatch:
@@ -611,8 +576,7 @@ def draw_sample(fam: ParametricFamily, theta, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    th = theta if fam.d > 1 else float(theta[0])
-    obs = fam.draw(rng, th, int(n))
+    obs = fam.draw(rng, theta, int(n))
     return SampleBatch(family=fam.name, theta_gen=theta, n=int(n), observations=obs, seed=int(seed))
 
 
@@ -621,9 +585,7 @@ def hellinger_g(fam: ParametricFamily, theta0, tau, x):
     theta0 = _as_theta(fam, theta0)
     t1 = _as_theta(fam, np.atleast_1d(theta0) + np.atleast_1d(tau))
     x = np.asarray(x, dtype=float)
-    a0 = theta0 if fam.d > 1 else float(theta0[0])
-    a1 = t1 if fam.d > 1 else float(t1[0])
-    return np.exp(0.5 * (fam.log_density(x, a1) - fam.log_density(x, a0))) - 1.0
+    return np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
 
 
 def hellinger_affinity(fam: ParametricFamily, theta0, tau) -> float:
@@ -634,11 +596,9 @@ def hellinger_affinity(fam: ParametricFamily, theta0, tau) -> float:
     """
     theta0 = _as_theta(fam, theta0)
     theta1 = _as_theta(fam, np.atleast_1d(theta0) + np.atleast_1d(tau))
-    a0 = theta0 if fam.d > 1 else float(theta0[0])
-    a1 = theta1 if fam.d > 1 else float(theta1[0])
 
     def integrand(x):
-        return np.exp(0.5 * (fam.log_density(x, a0) + fam.log_density(x, a1)))
+        return np.exp(0.5 * (fam.log_density(x, theta0) + fam.log_density(x, theta1)))
 
     breaks = (
         [float(theta0[0]), float(theta1[0])]
@@ -652,26 +612,20 @@ def hellinger_affinity(fam: ParametricFamily, theta0, tau) -> float:
 def score(fam: ParametricFamily, theta0, x) -> np.ndarray:
     """phi(x) as a length-d vector (closed form for built-ins, else finite difference)."""
     theta0 = _as_theta(fam, theta0)
-    th = theta0 if fam.d > 1 else float(theta0[0])
-    val = fam.score_phi(np.asarray(x, dtype=float), th)
-    return np.atleast_1d(np.asarray(val, dtype=float)) if fam.d == 1 else np.asarray(val)
+    val = fam.score_phi(np.asarray(x, dtype=float), theta0)
+    return np.atleast_1d(val[..., 0]) if fam.d == 1 else val
 
 
 def phi_matrix(fam: ParametricFamily, obs, theta0) -> np.ndarray:
     """phi at every observation, shaped (n, d)."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    th = theta0 if fam.d > 1 else float(theta0[0])
-    vals = fam.score_phi(np.asarray(obs, dtype=float), th)
-    vals = np.asarray(vals, dtype=float)
-    if fam.d == 1:
-        return vals.reshape(-1, 1)
-    return vals.reshape(-1, fam.d)
+    return fam.score_phi(np.asarray(obs, dtype=float), theta0).reshape(-1, fam.d)
 
 
 def fisher_information(fam: ParametricFamily, theta0) -> FisherInfo:
     """I(theta0) = 4 E[phi phi^T], with symmetric square roots attached."""
     theta0 = _as_theta(fam, theta0)
-    mat = fam.fisher_closed_form(theta0 if fam.d > 1 else float(theta0[0]))
+    mat = fam.fisher_closed_form(theta0)
     if mat is None:
         mat = fisher_by_quadrature(fam, theta0)
     mat = np.asarray(mat, dtype=float).reshape(fam.d, fam.d)
@@ -688,16 +642,13 @@ def fisher_information(fam: ParametricFamily, theta0) -> FisherInfo:
 def fisher_by_quadrature(fam: ParametricFamily, theta0) -> np.ndarray:
     """4 E[phi phi^T] computed by quadrature, bypassing any closed form."""
     theta0 = _as_theta(fam, theta0)
-    th = theta0 if fam.d > 1 else float(theta0[0])
     d = fam.d
     out = np.empty((d, d))
     for i in range(d):
         for j in range(i, d):
 
             def h(x, i=i, j=j):
-                p = np.asarray(fam.score_phi(x, th), dtype=float)
-                if d == 1:
-                    return p * p
+                p = fam.score_phi(x, theta0)
                 return p[..., i] * p[..., j]
 
             out[i, j] = out[j, i] = 4.0 * expect(fam, theta0, h)
@@ -707,6 +658,5 @@ def fisher_by_quadrature(fam: ParametricFamily, theta0) -> np.ndarray:
 def density_normalization(fam: ParametricFamily, theta) -> float:
     """Integral of the density over the support; equals 1 for valid families."""
     theta = _as_theta(fam, theta)
-    th = theta if fam.d > 1 else float(theta[0])
     breaks = [float(theta[0])] if fam.obs_dim == 1 else []
-    return integrate_support(fam, lambda x: np.exp(fam.log_density(x, th)), breaks)
+    return integrate_support(fam, lambda x: np.exp(fam.log_density(x, theta)), breaks)

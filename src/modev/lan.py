@@ -86,6 +86,11 @@ def psi_n(
     return fisher.inv_sqrt @ s / np.sqrt(sample.n)
 
 
+def _zeta(u, s_eps, n: int, i_mat) -> float:
+    """The quadratic model 2 u's_eps - n u'Iu/2 at one displacement."""
+    return float(2.0 * u @ s_eps - 0.5 * n * u @ i_mat @ u)
+
+
 def zeta_n(
     fam: ParametricFamily,
     sample: SampleBatch,
@@ -97,8 +102,7 @@ def zeta_n(
     """2 u'S_eps - n u'Iu/2 with S_eps the truncated score sum."""
     fisher = fisher or fisher_information(fam, theta0)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    s = _sum_phi_eps(fam, sample, theta0, policy)
-    return float(2.0 * u @ s - 0.5 * sample.n * u @ fisher.matrix @ u)
+    return _zeta(u, _sum_phi_eps(fam, sample, theta0, policy), sample.n, fisher.matrix)
 
 
 def loglr_sum(fam: ParametricFamily, sample: SampleBatch, theta0, b, u, u_n: float) -> float:
@@ -111,10 +115,8 @@ def loglr_sum(fam: ParametricFamily, sample: SampleBatch, theta0, b, u, u_n: flo
     for t in (base, shifted):
         if not fam.theta_domain.contains(t):
             raise DomainError(f"shifted parameter {t.tolist()} outside domain")
-    tb = base if fam.d > 1 else float(base[0])
-    ts = shifted if fam.d > 1 else float(shifted[0])
     obs = sample.observations
-    return float(np.sum(fam.log_density(obs, ts) - fam.log_density(obs, tb)))
+    return float(np.sum(fam.log_density(obs, shifted) - fam.log_density(obs, base)))
 
 
 def lan_residual(
@@ -180,18 +182,15 @@ def sup_lan_residual(
     b = np.atleast_1d(np.asarray(b, dtype=float))
     s_eps = _sum_phi_eps(fam, sample, theta0, policy)
     base = theta0 + u_n * b
-    tb = base if fam.d > 1 else float(base[0])
     obs = sample.observations
-    lf_base = np.sum(fam.log_density(obs, tb))
+    lf_base = np.sum(fam.log_density(obs, base))
     worst = 0.0
     for u in grid:
         shifted = base + u
         if not fam.theta_domain.contains(shifted):
             raise DomainError(f"grid point {shifted.tolist()} outside domain")
-        ts = shifted if fam.d > 1 else float(shifted[0])
-        s_xi = float(np.sum(fam.log_density(obs, ts)) - lf_base)
-        z = float(2.0 * u @ s_eps - 0.5 * sample.n * u @ fisher.matrix @ u)
-        worst = max(worst, abs(s_xi - z))
+        s_xi = float(np.sum(fam.log_density(obs, shifted)) - lf_base)
+        worst = max(worst, abs(s_xi - _zeta(u, s_eps, sample.n, fisher.matrix)))
     return worst
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     GridError,
     TiltDomainError,
 )
-from .families import ParametricFamily, fisher_information
+from .families import FisherInfo, ParametricFamily, fisher_information, loglik_grid
 from .estimators import LossSpec, PriorSpec
 from .regions import RegionSpec, rate_functional
 from .sampling import rep_rng, run_chunks
@@ -175,72 +175,41 @@ def _event_region(event) -> Optional[RegionSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _theta_arg(fam, theta):
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    return t if fam.d > 1 else float(t[0])
+@dataclass(frozen=True)
+class _Point:
+    """One schedule point: everything its chunks need (pickled into workers).
 
-
-def _loglik_matrix(fam, obs, thetas) -> np.ndarray:
-    """(R, K) log-likelihoods of each replication row under each theta."""
-    n = obs.shape[1]
-    stats = fam.suff_stats(obs)
-    if stats is not None:
-        th = np.stack([np.atleast_1d(np.asarray(t, dtype=float)) for t in thetas])
-        arg = th[:, 0] if fam.d == 1 else th
-        return fam.loglik_from_stats(stats, n, arg)
-    out = np.empty((obs.shape[0], len(thetas)))
-    for k, t in enumerate(thetas):
-        out[:, k] = np.sum(fam.log_density(obs, _theta_arg(fam, t)), axis=-1)
-    return out
-
-
-def _loglik_nodes(fam, stats, n, nodes) -> np.ndarray:
-    """Log-likelihood on per-replication node grids: nodes (R, G), stats (R, 1).
-
-    Elementwise counterpart of loglik_from_stats, which only takes a grid
-    shared across replications.
+    components are the parameters the replications are drawn from, one picked
+    uniformly per replication; point_index keys the replication streams.
     """
-    s = stats[:, 0][:, None]
-    if fam.name == "gaussian":
-        return nodes * s - 0.5 * n * nodes**2
-    if fam.name == "bernoulli":
-        return s * np.log(nodes) + (n - s) * np.log1p(-nodes)
-    if fam.name == "exponential":
-        return n * np.log(nodes) - s * nodes
-    raise DomainError(f"no sufficient-statistic grid likelihood for family {fam.name!r}")
+
+    fam: ParametricFamily
+    event: object
+    theta0: np.ndarray
+    theta_gen: np.ndarray
+    n: int
+    u_n: float
+    b: np.ndarray
+    eps: float
+    fisher: FisherInfo
+    seed: int
+    point_index: int
+    components: tuple = ()
 
 
-def _loglik_per_rep(fam, obs, thetas) -> np.ndarray:
-    """Log-likelihood of row r under its own parameter thetas[r]; (R,)."""
-    stats = fam.suff_stats(obs)
-    if stats is not None and fam.name in ("gaussian", "bernoulli", "exponential"):
-        return _loglik_nodes(fam, stats, obs.shape[1], thetas[:, 0][:, None])[:, 0]
-    if fam.obs_dim == 1:
-        return np.sum(fam.log_density(obs, thetas[:, 0][:, None]), axis=-1)
-    return np.sum(fam.log_density(obs, thetas[:, None, :]), axis=-1)
-
-
-def _psi_matrix(fam, obs, theta0, inv_sqrt, threshold) -> np.ndarray:
+def _psi_matrix(pt: _Point, obs) -> np.ndarray:
     """psi = n^{-1/2} I^{-1/2} sum of truncated phi, per replication; (R, d)."""
-    n = obs.shape[1]
-    phi = np.asarray(fam.score_phi(obs, _theta_arg(fam, theta0)), dtype=float)
-    if fam.d == 1:
-        kept = np.where(np.abs(phi) < threshold, phi, 0.0)
-        s = kept.sum(axis=1)[:, None]
-    else:
-        nrm = np.linalg.norm(phi, axis=-1)
-        kept = np.where((nrm < threshold)[..., None], phi, 0.0)
-        s = kept.sum(axis=1)
-    return (s @ inv_sqrt.T) / math.sqrt(n)
+    phi = pt.fam.score_phi(obs, pt.theta0)
+    # truncated in place, with one (R, n) temporary: chunks are large
+    sq = np.einsum("...k,...k->...", phi, phi)
+    phi[np.sqrt(sq, out=sq) >= pt.eps / pt.u_n] = 0.0
+    return (phi.sum(axis=1) @ pt.fisher.inv_sqrt.T) / math.sqrt(pt.n)
 
 
 def _grid_posterior(fam, obs, prior, resolution, n, u_n):
-    """Per-replication posterior grids (suff-stat families, one dimension)."""
+    """Per-replication posterior grids (one dimension)."""
     if fam.d != 1:
         raise DomainError("replication posterior grids support one dimension only")
-    stats = fam.suff_stats(obs)
-    if stats is None:
-        raise DomainError(f"family {fam.name!r} lacks sufficient statistics for grid posteriors")
     pilot = fam.mle_batch(obs)[:, 0]
     hw = max(10.0 / math.sqrt(n), 5.0 * u_n)
     dom = fam.theta_domain
@@ -249,7 +218,7 @@ def _grid_posterior(fam, obs, prior, resolution, n, u_n):
     hi = np.clip(pilot + hw, lo + margin, dom.hi[0] - margin)
     frac = np.linspace(0.0, 1.0, resolution)
     nodes = lo[:, None] + frac[None, :] * (hi - lo)[:, None]  # (R, G)
-    lw = _loglik_nodes(fam, stats, n, nodes)
+    lw = loglik_grid(fam, obs, nodes[..., None])
     if prior.kind == "gaussian":
         lw = lw - 0.5 * ((nodes - float(prior.mean[0])) / prior.sd) ** 2
     lw -= lw.max(axis=1, keepdims=True)
@@ -276,31 +245,32 @@ def _bayes_estimates(fam, obs, prior, loss, resolution, n, u_n) -> np.ndarray:
     raise DomainError("replication Bayes kernels support squared or absolute loss")
 
 
-def _indicator(fam, event, obs, ctx) -> np.ndarray:
-    (theta0, theta_gen, n, u_n, b, eps, i_mat, i_sqrt, i_inv_sqrt) = ctx
+def _indicator(pt: _Point, obs) -> np.ndarray:
+    fam, event, n, u_n = pt.fam, pt.event, pt.n, pt.u_n
+    i_sqrt = pt.fisher.sqrt
     if isinstance(event, MleEvent):
         est = fam.mle_batch(obs)
         if est is None:
             raise DomainError(f"family {fam.name!r} lacks a batch estimator for MC kernels")
-        w = (est - theta_gen[None, :]) @ i_sqrt.T / u_n
+        w = (est - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
         return event.region.contains(w)
     if isinstance(event, PsiEvent):
-        psi = _psi_matrix(fam, obs, theta0, i_inv_sqrt, eps / u_n)
-        w = 2.0 * psi / (math.sqrt(n) * u_n) - (i_sqrt @ b)[None, :]
+        w = 2.0 * _psi_matrix(pt, obs) / (math.sqrt(n) * u_n) - (i_sqrt @ pt.b)[None, :]
         return event.region.contains(w)
     if isinstance(event, BayesEvent):
         est = _bayes_estimates(fam, obs, event.prior, event.loss, event.resolution, n, u_n)
-        w = (est[:, None] - theta_gen[None, :]) @ i_sqrt.T / u_n
+        w = (est[:, None] - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
         return event.region.contains(w)
     if isinstance(event, PosteriorMassEvent):
-        mass = _posterior_masses(fam, event, obs, theta0, theta_gen, n, u_n, i_sqrt)
-        return mass > event.threshold
+        return _posterior_masses(pt, obs) > event.threshold
     if isinstance(event, DiscrepancyEvent):
-        return _discrepancy_indicator(fam, event, obs, ctx)
+        return _discrepancy_indicator(pt, obs)
     raise DomainError(f"unknown event type {type(event).__name__}")
 
 
-def _posterior_masses(fam, event, obs, theta0, theta_gen, n, u_n, i_sqrt) -> np.ndarray:
+def _posterior_masses(pt: _Point, obs) -> np.ndarray:
+    fam, event, n, u_n, theta_gen = pt.fam, pt.event, pt.n, pt.u_n, pt.theta_gen
+    i_sqrt = pt.fisher.sqrt
     reg = event.region
     if (
         fam.name == "gaussian"
@@ -328,49 +298,45 @@ def _posterior_masses(fam, event, obs, theta0, theta_gen, n, u_n, i_sqrt) -> np.
     return np.sum(w * inside, axis=1)
 
 
-def _discrepancy_indicator(fam, event, obs, ctx) -> np.ndarray:
-    (theta0, theta_gen, n, u_n, b, eps, i_mat, i_sqrt, i_inv_sqrt) = ctx
+def _discrepancy_indicator(pt: _Point, obs) -> np.ndarray:
+    fam, event, n, u_n = pt.fam, pt.event, pt.n, pt.u_n
     est = fam.mle_batch(obs)
     if est is None:
         raise DomainError(f"family {fam.name!r} lacks a batch estimator for MC kernels")
     if event.kind == "mle_vs_psi":
-        psi = _psi_matrix(fam, obs, theta0, i_inv_sqrt, eps / u_n)
-        lhs = (est - theta0[None, :]) @ i_sqrt.T
-        disc = np.linalg.norm(lhs - 2.0 * psi / math.sqrt(n), axis=1)
+        lhs = (est - pt.theta0[None, :]) @ pt.fisher.sqrt.T
+        disc = np.linalg.norm(lhs - 2.0 * _psi_matrix(pt, obs) / math.sqrt(n), axis=1)
         return disc > event.delta * u_n
-    sum_xi = _loglik_per_rep(fam, obs, est) - _loglik_matrix(fam, obs, [theta_gen])[:, 0]
+    ll_est = loglik_grid(fam, obs, est[:, None, :])
+    sum_xi = (ll_est - loglik_grid(fam, obs, pt.theta_gen[None, :]))[:, 0]
     if event.kind == "lr_vs_wald":
-        diff = est - theta_gen[None, :]
-        wald = n * np.einsum("ri,ij,rj->r", diff, i_mat, diff)
+        diff = est - pt.theta_gen[None, :]
+        wald = n * np.einsum("ri,ij,rj->r", diff, pt.fisher.matrix, diff)
         return np.abs(2.0 * sum_xi - wald) > 2.0 * event.delta * n * u_n**2
     # lr_vs_psi2
-    psi = _psi_matrix(fam, obs, theta0, i_inv_sqrt, eps / u_n)
-    center = psi - math.sqrt(n) * u_n * b[None, :]
+    center = _psi_matrix(pt, obs) - math.sqrt(n) * u_n * pt.b[None, :]
     quad = 2.0 * np.sum(center * center, axis=1)
     return np.abs(sum_xi - quad) > event.delta * n * u_n**2
 
 
-def _sim_chunk(start, stop, payload):
-    (fam, event, components, master_seed, point_index, n, ctx) = payload
-    (theta0, theta_gen, _n, u_n, b, eps, i_mat, i_sqrt, i_inv_sqrt) = ctx
+def _sim_chunk(start, stop, pt: _Point):
+    fam, components = pt.fam, pt.components
     k_count = len(components)
     rows = []
-    comp = np.zeros(stop - start, dtype=np.int64)
     for j in range(stop - start):
-        rng = rep_rng(master_seed, point_index, start + j)
+        rng = rep_rng(pt.seed, pt.point_index, start + j)
         k = 0 if k_count == 1 else int(rng.integers(k_count))
-        comp[j] = k
-        rows.append(fam.draw(rng, _theta_arg(fam, components[k]), n))
+        rows.append(fam.draw(rng, components[k], pt.n))
     obs = np.stack(rows)
 
-    if k_count == 1 and np.allclose(components[0], theta_gen):
+    if k_count == 1 and np.allclose(components[0], pt.theta_gen):
         logw = np.zeros(obs.shape[0])
     else:
-        ll = _loglik_matrix(fam, obs, [theta_gen] + list(components))
+        ll = loglik_grid(fam, obs, np.stack((pt.theta_gen,) + components))
         logq = logsumexp(ll[:, 1:], axis=1) - math.log(k_count)
         logw = ll[:, 0] - logq
 
-    ind = np.asarray(_indicator(fam, event, obs, ctx), dtype=bool)
+    ind = np.asarray(_indicator(pt, obs), dtype=bool)
     hits = int(ind.sum())
     neg_inf = -math.inf
     lw_hit = float(logsumexp(logw[ind])) if hits else neg_inf
@@ -380,15 +346,14 @@ def _sim_chunk(start, stop, payload):
     return (hits, lw_hit, l2w_hit, lw_all, l2w_all)
 
 
-def _pilot_chunk(start, stop, payload):
+def _pilot_chunk(start, stop, pt: _Point):
     """Event frequency under a single tilt component; used for tilt selection."""
-    (fam, event, component, master_seed, point_index, n, ctx) = payload
     rows = []
     for j in range(stop - start):
-        rng = rep_rng(master_seed, point_index, _PILOT_BASE + start + j)
-        rows.append(fam.draw(rng, _theta_arg(fam, component), n))
+        rng = rep_rng(pt.seed, pt.point_index, _PILOT_BASE + start + j)
+        rows.append(pt.fam.draw(rng, pt.components[0], pt.n))
     obs = np.stack(rows)
-    return int(np.asarray(_indicator(fam, event, obs, ctx), dtype=bool).sum())
+    return int(np.asarray(_indicator(pt, obs), dtype=bool).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +382,10 @@ def _deviation_tilts(fam, region, theta_gen, u_n, i_inv_sqrt) -> list[np.ndarray
     return uniq
 
 
-def _pilot_tilts(fam, event, theta_gen, u_n, i_inv_sqrt, master_seed, point_index, ctx, n):
+def _pilot_tilts(pt: _Point):
     """Seeded pilot over a ladder of standardized shifts; returns the mixture
     components and the chosen shift size for the method tag."""
+    fam, theta_gen, u_n, i_inv_sqrt = pt.fam, pt.theta_gen, pt.u_n, pt.fisher.inv_sqrt
     e1 = np.zeros(fam.d)
     e1[0] = 1.0
     freqs = []
@@ -428,8 +394,8 @@ def _pilot_tilts(fam, event, theta_gen, u_n, i_inv_sqrt, master_seed, point_inde
         if not fam.theta_domain.contains(comp):
             freqs.append(-1.0)
             continue
-        payload = (fam, event, comp, master_seed, point_index + 1000 * (bi + 1), n, ctx)
-        hits = _pilot_chunk(0, _PILOT_REPS, payload)
+        pilot = replace(pt, components=(comp,), point_index=pt.point_index + 1000 * (bi + 1))
+        hits = _pilot_chunk(0, _PILOT_REPS, pilot)
         freqs.append(hits / _PILOT_REPS)
     freqs_arr = np.array(freqs)
     ok = np.flatnonzero(freqs_arr >= 0.2)
@@ -528,8 +494,8 @@ def _exact_tail(event, fam, theta0, n, u_n, b, eps, seed) -> ProbEstimate:
             est = (ks / n)[:, None]
             w = (est - theta_gen[None, :]) @ fisher.sqrt.T / u_n
         else:
-            phi1 = float(np.asarray(fam.score_phi(np.array([[1.0]]), _theta_arg(fam, theta0)))[0, 0])
-            phi0 = float(np.asarray(fam.score_phi(np.array([[0.0]]), _theta_arg(fam, theta0)))[0, 0])
+            phi1 = float(fam.score_phi(np.array(1.0), theta0)[0])
+            phi0 = float(fam.score_phi(np.array(0.0), theta0)[0])
             s = (ks * phi1 + (n - ks) * phi0)[:, None]
             psi = (s @ fisher.inv_sqrt.T) / math.sqrt(n)
             w = 2.0 * psi / (math.sqrt(n) * u_n) - (fisher.sqrt @ b)[None, :]
@@ -602,7 +568,7 @@ def estimate_prob(
         raise GridError(f"unknown method {method!r}")
 
     fisher = fisher_information(fam, theta0)
-    ctx = (theta0, theta_gen, n, u_n, b, eps, fisher.matrix, fisher.sqrt, fisher.inv_sqrt)
+    pt = _Point(fam, event, theta0, theta_gen, n, u_n, b, eps, fisher, seed, point_index)
     region = _event_region(event)
 
     method_tag = method
@@ -612,13 +578,11 @@ def estimate_prob(
     elif region is not None:
         components = _deviation_tilts(fam, region, theta_gen, u_n, fisher.inv_sqrt)
     else:
-        components, b_star = _pilot_tilts(
-            fam, event, theta_gen, u_n, fisher.inv_sqrt, seed, point_index, ctx, n
-        )
+        components, b_star = _pilot_tilts(pt)
         method_tag = f"tilted(pilot-b={b_star:g})"
 
-    payload = (fam, event, components, seed, point_index, n, ctx)
-    partials = run_chunks(_sim_chunk, n_reps, n, workers, payload)
+    pt = replace(pt, components=tuple(components))
+    partials = run_chunks(_sim_chunk, n_reps, n, workers, pt)
 
     hits = sum(p[0] for p in partials)
     lw_hit = float(logsumexp(np.array([p[1] for p in partials])))

@@ -3,11 +3,15 @@ plus config validation, manifest reruns, and the report validator."""
 
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modev.cli import _CURVE_HEADER, main
+import modev
+from modev import PriorSpec, RegionSpec, get_family
+from modev.cli import _CURVE_HEADER, _RUNNERS, _build_event, main
 
 
 def write_config(tmp_path, name, cfg):
@@ -251,9 +255,44 @@ def test_rejects_coarse_lan_grid(tmp_path):
     assert rc == 2
 
 
+def test_condition_exponents_checked_against_dimension_before_any_check(tmp_path):
+    # the default beta1 = beta2 = 2 of check E do not exceed d = 2
+    rc, out = run(
+        tmp_path, "check-conditions",
+        {"family": "gaussian2", "theta0": [0.0, 0.0], "checks": ["dqm", "e"]},
+    )
+    assert rc == 2
+    assert not (out / "conditions.json").exists()
+
+
 def test_missing_config_file(tmp_path):
     rc = main(["report", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def _readme_section(start, stop):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text[text.index(start) + len(start) : text.index(stop)]
+
+
+def test_names_in_readme_resolve():
+    families = re.findall(r"`([^`]+)`", _readme_section("Families:", "Regions:"))
+    assert families
+    for name in families:
+        get_family(name)
+    shapes = re.findall(r"`([^`]+)`", _readme_section("Regions:", "Events:"))
+    assert shapes
+    for shape in shapes:
+        RegionSpec(shape, d=1, a=[1.0], c=1.0, r=1.0, lo=[-1.0], hi=[1.0])
+    events = re.findall(r"`([^`]+)`", _readme_section("Events:", "for the estimator"))
+    assert all(isinstance(getattr(modev, name, None), type) for name in events)
+    region = RegionSpec("half_space", d=1, a=[1.0], c=1.0)
+    for kind in ("mle", "psi", "bayes", "posterior_mass"):
+        event = _build_event(kind, region, PriorSpec.flat(), None, 64, 0.5)
+        assert type(event).__name__ in events
+    bullets = _readme_section("Subcommands:", "Configs are")
+    subcommands = re.findall(r"^- `([a-z-]+)`:", bullets, re.M)
+    assert sorted(subcommands) == sorted(_RUNNERS)
 
 
 def test_version_flag_exits_cleanly():

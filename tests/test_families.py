@@ -23,7 +23,7 @@ from modev import (
     phi_matrix,
     score,
 )
-from modev.families import density_normalization
+from modev.families import density_normalization, loglik_grid
 
 ALL_FAMILIES = ("gaussian", "gaussian2", "bernoulli", "exponential", "laplace")
 
@@ -234,6 +234,47 @@ def test_phi_matrix_shape():
     fam1 = get_family("gaussian")
     obs1 = draw_sample(fam1, 0.0, 7, seed=0).observations
     assert phi_matrix(fam1, obs1, 0.0).shape == (7, 1)
+
+
+def _loglik_grid_case(name, reps=3, n=50, grid=4):
+    """Replication rows, a shared (G, d) grid and a per-row (R, G, d) grid."""
+    fam = get_family(name)
+    theta = theta_for(name)
+    obs = np.stack([draw_sample(fam, theta, n, seed=s).observations for s in range(reps)])
+    rng = np.random.default_rng(3)
+    shared = theta + 0.1 * rng.uniform(-1.0, 1.0, (grid, fam.d))
+    per_row = theta + 0.1 * rng.uniform(-1.0, 1.0, (reps, grid, fam.d))
+    return fam, theta, obs, shared, per_row
+
+
+def _direct_loglik(fam, obs, thetas):
+    """sum_i log f(x_ri, theta) row by row and point by point."""
+    grids = np.broadcast_to(thetas, (obs.shape[0],) + thetas.shape[-2:])
+    return np.array(
+        [[np.sum(fam.log_density(row, t)) for t in grid] for row, grid in zip(obs, grids)]
+    )
+
+
+@pytest.mark.parametrize("name", ("gaussian", "gaussian2", "bernoulli", "exponential"))
+def test_loglik_grid_statistic_path_matches_density_sums(name):
+    fam, theta, obs, shared, per_row = _loglik_grid_case(name)
+    n = obs.shape[1]
+    ref = theta[None, :]
+    # the statistic path drops a theta-free constant, so compare differences
+    want_ref = _direct_loglik(fam, obs, ref)
+    got_ref = loglik_grid(fam, obs, ref)
+    for grid in (shared, per_row):
+        got = loglik_grid(fam, obs, grid)
+        assert got.shape == (obs.shape[0], grid.shape[-2])
+        want = _direct_loglik(fam, obs, grid) - want_ref
+        np.testing.assert_allclose(got - got_ref, want, rtol=0, atol=1e-9 * n)
+
+
+def test_loglik_grid_density_path_is_the_direct_sum():
+    fam, _, obs, shared, per_row = _loglik_grid_case("laplace")
+    assert fam.suff_stats(obs) is None
+    for grid in (shared, per_row):
+        np.testing.assert_array_equal(loglik_grid(fam, obs, grid), _direct_loglik(fam, obs, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from modev import (
     TruncationPolicy,
     draw_sample,
     estimate_prob,
+    fisher_information,
     get_family,
     lan_residual,
     loglr_sum,
@@ -23,6 +24,7 @@ from modev import (
     truncated_score,
     zeta_n,
 )
+from modev.lan import _ball_grid
 
 INACTIVE = TruncationPolicy.inactive()
 
@@ -138,6 +140,27 @@ def test_sup_residual_zero_for_gaussian():
         fam, sample, 0.0, b=0.0, C=2.0, u_n=u_n, policy=policy, grid_step=u_n / 20
     )
     assert sup < 1e-9
+
+
+@pytest.mark.parametrize("family", ("gaussian", "laplace", "gaussian2"))
+def test_sup_residual_is_max_of_pointwise_residuals(family):
+    # the sup and the pointwise record share one quadratic model, so a change
+    # to zeta_n shows in both
+    fam = get_family(family)
+    n = 256
+    u_n = n ** (-1.0 / 3.0)
+    zero = np.zeros(fam.d)
+    sample = draw_sample(fam, zero, n, seed=21)
+    policy = TruncationPolicy(eps=0.5, u_n=u_n)
+    fisher = fisher_information(fam, zero)
+    step = u_n / 20
+    sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher)
+    pointwise = max(
+        abs(lan_residual(fam, sample, zero, zero, u, policy, fisher=fisher).residual)
+        for u in _ball_grid(fam.d, 2.0 * u_n, step)
+    )
+    assert sup > 0.0
+    assert sup == pytest.approx(pointwise, rel=0, abs=1e-9 * n)
 
 
 def test_sup_residual_rejects_coarse_grids():

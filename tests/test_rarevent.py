@@ -14,6 +14,7 @@ from modev import (
     BudgetError,
     DegenerateWeightsWarning,
     DeviationSchedule,
+    DiscrepancyEvent,
     DomainError,
     GridError,
     MleEvent,
@@ -315,6 +316,22 @@ def test_equivalence_tail_structure():
     assert wald.log_p == pytest.approx(math.log(3.0 / 500.0), rel=1e-12)
     # the score truncation does break the mle/psi coupling at small n
     assert not curves["mle_vs_psi"].points[0].estimate.upper_bound
+
+
+@pytest.mark.parametrize("family", ("gaussian", "gaussian2"))
+@pytest.mark.parametrize("kind", ("lr_vs_wald", "lr_vs_psi2"))
+def test_gaussian_lr_couplings_never_fail(family, kind):
+    # For a Gaussian location family sum_xi = n |xbar - theta|^2 / 2 exactly,
+    # which is the Wald statistic over two and, while the truncation is
+    # inactive, 2 |psi|^2; both coupling failures are therefore never seen.
+    fam = get_family(family)
+    n = 400
+    r = estimate_prob(
+        DiscrepancyEvent(kind, 0.125), fam, np.zeros(fam.d), n, n**-0.25,
+        method="crude", n_reps=400, seed=1,
+    )
+    assert r.upper_bound
+    assert r.p_hat == 0.0
 
 
 def test_bahadur_sweep_exact_rates_decrease_to_target():
