@@ -19,7 +19,11 @@ from .families import Box, ParametricFamily, family_names, get_family
 from .rarevent import Budget, DeviationSchedule
 from .regions import RegionSpec
 
-MANIFEST_SCHEMA = "modev.manifest.v1"
+# v2: Monte Carlo draws come from one RNG stream per chunk, and statistic
+# events draw their sufficient statistic from its exact law (v1: one stream
+# per replication, full samples), so a v1 manifest no longer reproduces its run
+MANIFEST_SCHEMA = "modev.manifest.v2"
+_V1_SCHEMA = "modev.manifest.v1"
 
 
 def _reject_unknown(d: dict, allowed, path: str = "") -> None:
@@ -332,6 +336,12 @@ def load_config(path: str, command: str, seed_override: Optional[int] = None):
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
 
+    if raw.get("schema") == _V1_SCHEMA:
+        raise ConfigError(
+            f"manifest schema {_V1_SCHEMA} was written under the per-replication RNG"
+            f" contract; {MANIFEST_SCHEMA} draws one RNG stream per chunk, so a rerun"
+            " would not reproduce its artifacts (pass its config section as a config)"
+        )
     if raw.get("schema") == MANIFEST_SCHEMA:
         man_cmd = raw.get("command")
         if man_cmd != command:

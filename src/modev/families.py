@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import DomainError, QuadratureError, RankError, SupportError
 
@@ -182,13 +182,28 @@ class ParametricFamily:
         return None
 
     # -- sampling ----------------------------------------------------------
-    def draw(self, rng: np.random.Generator, theta, n: int):
+    def draw(self, rng: np.random.Generator, thetas, n: int):
+        """R samples of size n, one per parameter row of thetas (R, d), as one
+        (R, n[, obs_dim]) block; row r reads the generator after row r - 1."""
         raise NotImplementedError
+
+    def draw_stats(self, rng: np.random.Generator, thetas, n: int) -> Optional[np.ndarray]:
+        """The (R, k) sufficient statistics of R samples of size n, one per
+        parameter row of thetas (R, d), drawn from their exact law; None, with
+        nothing drawn, when the family has no statistic."""
+        return None
 
     # -- estimator hooks ---------------------------------------------------
     def mle_batch(self, obs_mat) -> Optional[np.ndarray]:
         """Closed-form estimates for a (reps, n[, obs_dim]) stack, or None."""
-        return None
+        stats = self.suff_stats(obs_mat)
+        return None if stats is None else self.mle_from_stats(stats, obs_mat.shape[1])
+
+    def mle_from_stats(self, stats, n: int) -> np.ndarray:
+        """(reps, d) closed-form estimates from the sufficient statistics: the
+        statistic over n, which is the MLE when the statistic has mean n theta;
+        families whose statistic has another mean override it."""
+        return stats / n
 
     def suff_stats(self, obs_mat) -> Optional[np.ndarray]:
         """Low-dimensional sufficient statistic per replication, or None."""
@@ -235,11 +250,14 @@ class GaussianLocation(ParametricFamily):
     def fisher_closed_form(self, theta):
         return np.array([[1.0]])
 
-    def draw(self, rng, theta, n):
-        return rng.standard_normal(n) + theta[0]
+    def draw(self, rng, thetas, n):
+        x = rng.standard_normal((len(thetas), n))
+        x += thetas[:, :1]
+        return x
 
-    def mle_batch(self, obs_mat):
-        return np.mean(obs_mat, axis=1)[:, None]
+    def draw_stats(self, rng, thetas, n):
+        # the sum of n draws is N(n theta, n)
+        return n * thetas + math.sqrt(n) * rng.standard_normal(thetas.shape)
 
     def suff_stats(self, obs_mat):
         return np.sum(obs_mat, axis=1)[:, None]
@@ -278,11 +296,14 @@ class GaussianLocation2(ParametricFamily):
     def fisher_closed_form(self, theta):
         return np.eye(2)
 
-    def draw(self, rng, theta, n):
-        return rng.standard_normal((n, 2)) + theta
+    def draw(self, rng, thetas, n):
+        x = rng.standard_normal((len(thetas), n, 2))
+        x += thetas[:, None, :]
+        return x
 
-    def mle_batch(self, obs_mat):
-        return np.mean(obs_mat, axis=1)
+    def draw_stats(self, rng, thetas, n):
+        # the sum of n draws is N(n theta, n I_2)
+        return n * thetas + math.sqrt(n) * rng.standard_normal(thetas.shape)
 
     def suff_stats(self, obs_mat):
         return np.sum(obs_mat, axis=1)
@@ -324,19 +345,24 @@ class Bernoulli(ParametricFamily):
         t = theta[0]
         return np.array([[1.0 / (t * (1.0 - t))]])
 
-    def draw(self, rng, theta, n):
-        return (rng.random(n) < theta[0]).astype(float)
+    def draw(self, rng, thetas, n):
+        x = rng.random((len(thetas), n))
+        np.less(x, thetas[:, :1], out=x)
+        return x
 
-    def mle_batch(self, obs_mat):
-        return np.mean(obs_mat, axis=1)[:, None]
+    def draw_stats(self, rng, thetas, n):
+        # the number of ones is Binomial(n, theta)
+        return rng.binomial(n, thetas).astype(float)
 
     def suff_stats(self, obs_mat):
         return np.sum(obs_mat, axis=1)[:, None]
 
     def loglik_from_stats(self, stats, n, thetas):
+        # xlogy: an all-zeros or all-ones sample has a finite likelihood at the
+        # boundary MLE 0 or 1, where k log(theta) would be 0 * -inf
         th = thetas[..., 0]
         k = stats[:, :1]
-        return k * np.log(th) + (n - k) * np.log1p(-th)
+        return special.xlogy(k, th) + special.xlog1py(n - k, -th)
 
 
 @dataclass(frozen=True)
@@ -366,11 +392,15 @@ class ExponentialRate(ParametricFamily):
     def fisher_closed_form(self, theta):
         return np.array([[1.0 / theta[0] ** 2]])
 
-    def draw(self, rng, theta, n):
-        return rng.exponential(1.0 / theta[0], n)
+    def draw(self, rng, thetas, n):
+        return rng.exponential(1.0 / thetas[:, :1], (len(thetas), n))
 
-    def mle_batch(self, obs_mat):
-        return (1.0 / np.mean(obs_mat, axis=1))[:, None]
+    def draw_stats(self, rng, thetas, n):
+        # the sum of n draws is Gamma(n, scale 1/theta)
+        return rng.standard_gamma(n, thetas.shape) / thetas
+
+    def mle_from_stats(self, stats, n):
+        return 1.0 / (stats / n)
 
     def suff_stats(self, obs_mat):
         return np.sum(obs_mat, axis=1)[:, None]
@@ -406,8 +436,8 @@ class LaplaceLocation(ParametricFamily):
     def fisher_closed_form(self, theta):
         return np.array([[1.0]])
 
-    def draw(self, rng, theta, n):
-        return rng.laplace(theta[0], 1.0, n)
+    def draw(self, rng, thetas, n):
+        return rng.laplace(thetas[:, :1], 1.0, (len(thetas), n))
 
     def mle_batch(self, obs_mat):
         return np.median(obs_mat, axis=1)[:, None]
@@ -576,7 +606,7 @@ def draw_sample(fam: ParametricFamily, theta, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    obs = fam.draw(rng, theta, int(n))
+    obs = fam.draw(rng, theta[None, :], int(n))[0]
     return SampleBatch(family=fam.name, theta_gen=theta, n=int(n), observations=obs, seed=int(seed))
 
 

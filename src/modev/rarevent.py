@@ -8,10 +8,18 @@ the log domain: parameter-shift exponential tilting with exact likelihood
 ratio weights, logsumexp accumulation, and a one-sided bound instead of a
 point estimate when no hit is observed.
 
-Determinism contract: replication r of schedule point i under master seed s
-draws from numpy Generator(seed=[s, i, r]).  Chunk sizes depend only on the
-per-replication draw count and partial results are combined in chunk order,
-so output is byte-identical for any worker count.
+Determinism contract: the chunk of schedule point i under master seed s whose
+first replication is r draws all its replications from one numpy
+Generator(seed=[s, i, r]), pilot chunks from [s, i, 2^33 + r].  Chunk bounds
+depend only on the sample size n and partial results are combined in chunk
+order, so output is byte-identical for any worker count.
+
+Statistic path: when the event's indicator and the tilt weights read the data
+only through a sufficient statistic (MLE, Bayes, posterior-mass and lr_vs_wald
+events on a family with a draw_stats hook), a chunk draws that statistic from
+its exact law, O(1) per replication, instead of n observations.  Events that
+read the truncated score (psi, mle_vs_psi, lr_vs_psi2) and families without a
+statistic draw full samples.
 """
 
 from __future__ import annotations
@@ -180,7 +188,7 @@ class _Point:
     """One schedule point: everything its chunks need (pickled into workers).
 
     components are the parameters the replications are drawn from, one picked
-    uniformly per replication; point_index keys the replication streams.
+    uniformly per replication; point_index keys the chunk streams.
     """
 
     fam: ParametricFamily
@@ -206,11 +214,61 @@ def _psi_matrix(pt: _Point, obs) -> np.ndarray:
     return (phi.sum(axis=1) @ pt.fisher.inv_sqrt.T) / math.sqrt(pt.n)
 
 
-def _grid_posterior(fam, obs, prior, resolution, n, u_n):
+@dataclass(frozen=True)
+class _Draws:
+    """One chunk's replications: their sufficient statistics (R, k), or None
+    when the family has none, and their full samples (R, n[, obs_dim]), or
+    None when the event reads only the statistics."""
+
+    fam: ParametricFamily
+    n: int
+    stats: Optional[np.ndarray]
+    obs: Optional[np.ndarray]
+
+    def loglik(self, thetas) -> np.ndarray:
+        """(R, G) log-likelihoods on a shared (G, d) or per-row (R, G, d) grid."""
+        if self.stats is None:
+            return loglik_grid(self.fam, self.obs, thetas)
+        return self.fam.loglik_from_stats(self.stats, self.n, thetas)
+
+    def mle(self) -> np.ndarray:
+        if self.stats is not None:
+            return self.fam.mle_from_stats(self.stats, self.n)
+        est = self.fam.mle_batch(self.obs)
+        if est is None:
+            raise DomainError(f"family {self.fam.name!r} lacks a batch estimator for MC kernels")
+        return est
+
+
+def _reads_samples(event) -> bool:
+    """Whether the event reads the truncated score, which no statistic gives."""
+    if isinstance(event, DiscrepancyEvent):
+        return event.kind != "lr_vs_wald"
+    return isinstance(event, PsiEvent)
+
+
+def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> _Draws:
+    """Replications start..stop-1 from the chunk's stream: a component per
+    replication (when there are several), then the statistics or samples."""
+    fam = pt.fam
+    rng = rep_rng(pt.seed, pt.point_index, stream)
+    comps = np.stack(pt.components)
+    reps = stop - start
+    pick = rng.integers(len(comps), size=reps) if len(comps) > 1 else np.zeros(reps, dtype=int)
+    thetas = comps[pick]
+    stats = None if _reads_samples(pt.event) else fam.draw_stats(rng, thetas, pt.n)
+    if stats is not None:
+        return _Draws(fam, pt.n, stats, None)
+    obs = fam.draw(rng, thetas, pt.n)
+    return _Draws(fam, pt.n, fam.suff_stats(obs), obs)
+
+
+def _grid_posterior(draws: _Draws, prior, resolution, n, u_n):
     """Per-replication posterior grids (one dimension)."""
+    fam = draws.fam
     if fam.d != 1:
         raise DomainError("replication posterior grids support one dimension only")
-    pilot = fam.mle_batch(obs)[:, 0]
+    pilot = draws.mle()[:, 0]
     hw = max(10.0 / math.sqrt(n), 5.0 * u_n)
     dom = fam.theta_domain
     margin = 1e-9 * float(dom.width()[0])
@@ -218,7 +276,7 @@ def _grid_posterior(fam, obs, prior, resolution, n, u_n):
     hi = np.clip(pilot + hw, lo + margin, dom.hi[0] - margin)
     frac = np.linspace(0.0, 1.0, resolution)
     nodes = lo[:, None] + frac[None, :] * (hi - lo)[:, None]  # (R, G)
-    lw = loglik_grid(fam, obs, nodes[..., None])
+    lw = draws.loglik(nodes[..., None])
     if prior.kind == "gaussian":
         lw = lw - 0.5 * ((nodes - float(prior.mean[0])) / prior.sd) ** 2
     lw -= lw.max(axis=1, keepdims=True)
@@ -227,8 +285,8 @@ def _grid_posterior(fam, obs, prior, resolution, n, u_n):
     return nodes, w
 
 
-def _bayes_estimates(fam, obs, prior, loss, resolution, n, u_n) -> np.ndarray:
-    nodes, w = _grid_posterior(fam, obs, prior, resolution, n, u_n)
+def _bayes_estimates(draws: _Draws, prior, loss, resolution, n, u_n) -> np.ndarray:
+    nodes, w = _grid_posterior(draws, prior, resolution, n, u_n)
     if loss.kind == "power" and loss.p == 2.0:
         return np.sum(w * nodes, axis=1)
     if loss.kind == "linear" or (loss.kind == "power" and loss.p == 1.0):
@@ -245,30 +303,27 @@ def _bayes_estimates(fam, obs, prior, loss, resolution, n, u_n) -> np.ndarray:
     raise DomainError("replication Bayes kernels support squared or absolute loss")
 
 
-def _indicator(pt: _Point, obs) -> np.ndarray:
-    fam, event, n, u_n = pt.fam, pt.event, pt.n, pt.u_n
+def _indicator(pt: _Point, draws: _Draws) -> np.ndarray:
+    event, n, u_n = pt.event, pt.n, pt.u_n
     i_sqrt = pt.fisher.sqrt
     if isinstance(event, MleEvent):
-        est = fam.mle_batch(obs)
-        if est is None:
-            raise DomainError(f"family {fam.name!r} lacks a batch estimator for MC kernels")
-        w = (est - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
+        w = (draws.mle() - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
         return event.region.contains(w)
     if isinstance(event, PsiEvent):
-        w = 2.0 * _psi_matrix(pt, obs) / (math.sqrt(n) * u_n) - (i_sqrt @ pt.b)[None, :]
+        w = 2.0 * _psi_matrix(pt, draws.obs) / (math.sqrt(n) * u_n) - (i_sqrt @ pt.b)[None, :]
         return event.region.contains(w)
     if isinstance(event, BayesEvent):
-        est = _bayes_estimates(fam, obs, event.prior, event.loss, event.resolution, n, u_n)
+        est = _bayes_estimates(draws, event.prior, event.loss, event.resolution, n, u_n)
         w = (est[:, None] - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
         return event.region.contains(w)
     if isinstance(event, PosteriorMassEvent):
-        return _posterior_masses(pt, obs) > event.threshold
+        return _posterior_masses(pt, draws) > event.threshold
     if isinstance(event, DiscrepancyEvent):
-        return _discrepancy_indicator(pt, obs)
+        return _discrepancy_indicator(pt, draws)
     raise DomainError(f"unknown event type {type(event).__name__}")
 
 
-def _posterior_masses(pt: _Point, obs) -> np.ndarray:
+def _posterior_masses(pt: _Point, draws: _Draws) -> np.ndarray:
     fam, event, n, u_n, theta_gen = pt.fam, pt.event, pt.n, pt.u_n, pt.theta_gen
     i_sqrt = pt.fisher.sqrt
     reg = event.region
@@ -278,7 +333,7 @@ def _posterior_masses(pt: _Point, obs) -> np.ndarray:
         and reg.shape == "half_space"
     ):
         # Conjugate truncated posterior N(xbar, 1/n) on the default sub-box.
-        xbar = np.mean(obs, axis=1)
+        xbar = draws.mle()[:, 0]
         hw = max(10.0 / math.sqrt(n), 5.0 * u_n)
         lo, hi = xbar - hw, xbar + hw
         sn = math.sqrt(n)
@@ -292,51 +347,45 @@ def _posterior_masses(pt: _Point, obs) -> np.ndarray:
         else:
             num = sps.norm.cdf(z_t) - sps.norm.cdf(z_lo)
         return num / np.maximum(denom, 1e-300)
-    nodes, w = _grid_posterior(fam, obs, event.prior, event.resolution, n, u_n)
+    nodes, w = _grid_posterior(draws, event.prior, event.resolution, n, u_n)
     std = (nodes - theta_gen[0]) * float(i_sqrt[0, 0]) / u_n
     inside = reg.contains(std.reshape(-1, 1)).reshape(std.shape)
     return np.sum(w * inside, axis=1)
 
 
-def _discrepancy_indicator(pt: _Point, obs) -> np.ndarray:
-    fam, event, n, u_n = pt.fam, pt.event, pt.n, pt.u_n
-    est = fam.mle_batch(obs)
-    if est is None:
-        raise DomainError(f"family {fam.name!r} lacks a batch estimator for MC kernels")
+def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
+    event, n, u_n = pt.event, pt.n, pt.u_n
+    est = draws.mle()
     if event.kind == "mle_vs_psi":
         lhs = (est - pt.theta0[None, :]) @ pt.fisher.sqrt.T
-        disc = np.linalg.norm(lhs - 2.0 * _psi_matrix(pt, obs) / math.sqrt(n), axis=1)
+        disc = np.linalg.norm(lhs - 2.0 * _psi_matrix(pt, draws.obs) / math.sqrt(n), axis=1)
         return disc > event.delta * u_n
-    ll_est = loglik_grid(fam, obs, est[:, None, :])
-    sum_xi = (ll_est - loglik_grid(fam, obs, pt.theta_gen[None, :]))[:, 0]
+    sum_xi = (draws.loglik(est[:, None, :]) - draws.loglik(pt.theta_gen[None, :]))[:, 0]
     if event.kind == "lr_vs_wald":
         diff = est - pt.theta_gen[None, :]
         wald = n * np.einsum("ri,ij,rj->r", diff, pt.fisher.matrix, diff)
         return np.abs(2.0 * sum_xi - wald) > 2.0 * event.delta * n * u_n**2
     # lr_vs_psi2
-    center = _psi_matrix(pt, obs) - math.sqrt(n) * u_n * pt.b[None, :]
+    center = _psi_matrix(pt, draws.obs) - math.sqrt(n) * u_n * pt.b[None, :]
     quad = 2.0 * np.sum(center * center, axis=1)
     return np.abs(sum_xi - quad) > event.delta * n * u_n**2
 
 
 def _sim_chunk(start, stop, pt: _Point):
-    fam, components = pt.fam, pt.components
+    components = pt.components
     k_count = len(components)
-    rows = []
-    for j in range(stop - start):
-        rng = rep_rng(pt.seed, pt.point_index, start + j)
-        k = 0 if k_count == 1 else int(rng.integers(k_count))
-        rows.append(fam.draw(rng, components[k], pt.n))
-    obs = np.stack(rows)
+    draws = _draw_chunk(pt, start, stop, start)
 
-    if k_count == 1 and np.allclose(components[0], pt.theta_gen):
-        logw = np.zeros(obs.shape[0])
+    # only sampling from theta_gen itself (crude runs, the pilot at b = 0)
+    # has unit weights; any other component, however close, is weighted
+    if k_count == 1 and np.array_equal(components[0], pt.theta_gen):
+        logw = np.zeros(stop - start)
     else:
-        ll = loglik_grid(fam, obs, np.stack((pt.theta_gen,) + components))
+        ll = draws.loglik(np.stack((pt.theta_gen,) + components))
         logq = logsumexp(ll[:, 1:], axis=1) - math.log(k_count)
         logw = ll[:, 0] - logq
 
-    ind = np.asarray(_indicator(pt, obs), dtype=bool)
+    ind = np.asarray(_indicator(pt, draws), dtype=bool)
     hits = int(ind.sum())
     neg_inf = -math.inf
     lw_hit = float(logsumexp(logw[ind])) if hits else neg_inf
@@ -348,12 +397,8 @@ def _sim_chunk(start, stop, pt: _Point):
 
 def _pilot_chunk(start, stop, pt: _Point):
     """Event frequency under a single tilt component; used for tilt selection."""
-    rows = []
-    for j in range(stop - start):
-        rng = rep_rng(pt.seed, pt.point_index, _PILOT_BASE + start + j)
-        rows.append(pt.fam.draw(rng, pt.components[0], pt.n))
-    obs = np.stack(rows)
-    return int(np.asarray(_indicator(pt, obs), dtype=bool).sum())
+    draws = _draw_chunk(pt, start, stop, _PILOT_BASE + start)
+    return int(np.asarray(_indicator(pt, draws), dtype=bool).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +407,12 @@ def _pilot_chunk(start, stop, pt: _Point):
 
 
 def _deviation_tilts(fam, region, theta_gen, u_n, i_inv_sqrt) -> list[np.ndarray]:
-    """Parameter shifts at 1.1x the region's nearest points, mapped through
-    I^{-1/2}; multiple dominant points become an equal-weight mixture."""
+    """Parameter shifts to the region's nearest (dominating) points, mapped
+    through I^{-1/2}; multiple dominant points become an equal-weight mixture."""
     points = region.nearest_points()
     comps = []
     for x in points:
-        shift = 1.1 * u_n * (i_inv_sqrt @ np.atleast_1d(x))
+        shift = u_n * (i_inv_sqrt @ np.atleast_1d(x))
         comps.append(theta_gen + shift)
     uniq: list[np.ndarray] = []
     for c in comps:

@@ -1,11 +1,11 @@
-"""Replication RNG streams and worker-count-invariant chunk execution.
+"""Chunk RNG streams and worker-count-invariant chunk execution.
 
-Each Monte Carlo replication owns an independent generator keyed by
-(master_seed, point_index, rep_index), so results depend only on those
-integers and never on execution order.  Replications are grouped into
-chunks whose size is a function of the per-replication draw count alone;
-partial results are combined in chunk-index order.  Together these make
-the output byte-identical for any worker count.
+Replications are grouped into chunks whose bounds are a function of the
+sample size n alone.  Each chunk owns one generator keyed by (master_seed,
+point_index, index of the chunk's first replication) and draws all of its
+replications from it in order, so results depend only on those integers and
+never on execution order.  Partial results are combined in chunk-index order.
+Together these make the output byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ _MAX_CHUNK = 8192
 
 
 def rep_rng(master_seed: int, point_index: int, rep_index: int) -> np.random.Generator:
-    """The generator owned by one replication of one schedule point."""
+    """The generator owned by the chunk of one schedule point that starts at
+    replication rep_index."""
     return np.random.default_rng([master_seed, point_index, rep_index])
 
 

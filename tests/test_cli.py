@@ -12,6 +12,7 @@ import pytest
 import modev
 from modev import PriorSpec, RegionSpec, get_family
 from modev.cli import _CURVE_HEADER, _RUNNERS, _build_event, main
+from modev.config import load_config
 
 
 def write_config(tmp_path, name, cfg):
@@ -228,6 +229,26 @@ def test_manifest_for_wrong_command_is_rejected(tmp_path):
         "--out", str(tmp_path / "x"), "--workers", "1",
     ])
     assert rc == 2
+
+
+def test_v1_manifest_is_rejected_with_the_rng_contract(tmp_path):
+    # v1 manifests were written when every replication owned a generator; a
+    # rerun under chunk streams would not reproduce them, so they are refused
+    _, out = run(
+        tmp_path,
+        "ldp-curve",
+        {"family": "gaussian", "schedule": {"n_values": [64, 256]},
+         "budget": {"n_reps": 500, "min_reps": 100}},
+    )
+    manifest = read_manifest(out)
+    assert manifest["schema"] == "modev.manifest.v2"
+    manifest["schema"] = "modev.manifest.v1"
+    old = write_config(tmp_path, "old_manifest.json", manifest)
+    with pytest.raises(modev.ConfigError, match=r"modev\.manifest\.v1.*RNG"):
+        load_config(old, "ldp-curve")
+    rc = main(["ldp-curve", "--config", old, "--out", str(tmp_path / "x"), "--workers", "1"])
+    assert rc == 2
+    assert not (tmp_path / "x" / "ldp_curve.csv").exists()
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,3 +325,99 @@ def test_draws_land_in_support():
     assert set(np.unique(obs)) <= {0.0, 1.0}
     obs = draw_sample(get_family("exponential"), 2.0, 500, seed=1).observations
     assert np.all(obs > 0)
+
+
+STAT_FAMILIES = ("gaussian", "gaussian2", "bernoulli", "exponential")
+
+
+def _two_parameter_rows(name, reps):
+    """Rows alternating between the family's interior point and a second one."""
+    theta = theta_for(name)
+    other = theta * 0.5 + (0.1 if name != "exponential" else 0.5)
+    thetas = np.where(np.arange(reps)[:, None] % 2 == 0, theta, other)
+    return thetas, (theta, other)
+
+
+def _stat_law(name, n, theta, j):
+    """Exact law of coordinate j of the sum of n draws at theta."""
+    t = float(theta[j])
+    if name in ("gaussian", "gaussian2"):
+        return sps.norm(n * t, math.sqrt(n))
+    if name == "bernoulli":
+        return sps.binom(n, t)
+    return sps.gamma(n, scale=1.0 / t)
+
+
+@pytest.mark.parametrize("name", STAT_FAMILIES)
+def test_draw_stats_follow_exact_law(name):
+    fam = get_family(name)
+    n, reps = 30, 20000
+    thetas, params = _two_parameter_rows(name, reps)
+    stats = fam.draw_stats(np.random.default_rng(11), thetas, n)
+    assert stats.shape == (reps, fam.d)
+    for half, theta in enumerate(params):
+        rows = stats[half::2]
+        m = rows.shape[0]
+        for j in range(fam.d):
+            law = _stat_law(name, n, theta, j)
+            # mean and variance z-scores; Var(s^2) = sigma^4 (kurtosis + 2) / m
+            mean, var, kurt = (float(v) for v in law.stats(moments="mvk"))
+            assert abs(rows[:, j].mean() - mean) <= 4.0 * math.sqrt(var / m)
+            assert abs(rows[:, j].var(ddof=1) - var) <= 4.0 * var * math.sqrt((kurt + 2.0) / m)
+            if name == "bernoulli":
+                # chi-square over the atoms, tails pooled to expected counts >= 5
+                ks = np.arange(n + 1)
+                expected = law.pmf(ks) * rows.shape[0]
+                keep = expected >= 5
+                lo, hi = ks[keep][0], ks[keep][-1]
+                obs = np.bincount(np.clip(rows[:, j].astype(int), lo, hi) - lo,
+                                  minlength=hi - lo + 1)
+                exp = law.pmf(np.arange(lo, hi + 1)) * rows.shape[0]
+                exp[0] += law.cdf(lo - 1) * rows.shape[0]
+                exp[-1] += law.sf(hi) * rows.shape[0]
+                p = sps.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue
+            else:
+                p = sps.kstest(rows[:, j], law.cdf).pvalue
+            assert p > 1e-3, (theta, j, p)
+        if fam.d == 2:
+            r = np.corrcoef(rows.T)[0, 1]
+            assert abs(r) < 4.0 / math.sqrt(rows.shape[0])
+
+
+@pytest.mark.parametrize("name", STAT_FAMILIES)
+def test_draw_block_statistics_match_draw_stats(name):
+    # the statistic of a vectorized draw block and the exact-law draw agree in law
+    fam = get_family(name)
+    n, reps = 20, 4000
+    thetas, _ = _two_parameter_rows(name, reps)
+    block = fam.draw(np.random.default_rng(5), thetas, n)
+    assert block.shape == (reps, n) + ((2,) if fam.obs_dim == 2 else ())
+    assert fam.support.check(block)
+    from_block = fam.suff_stats(block)
+    direct = fam.draw_stats(np.random.default_rng(6), thetas, n)
+    for half in (0, 1):
+        for j in range(fam.d):
+            p = sps.ks_2samp(from_block[half::2, j], direct[half::2, j]).pvalue
+            assert p > 1e-3, (half, j, p)
+
+
+def test_laplace_has_no_statistic_law():
+    fam = get_family("laplace")
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert fam.draw_stats(rng, np.zeros((4, 1)), 10) is None
+    assert rng.bit_generator.state == state  # nothing was drawn
+
+
+def test_bernoulli_boundary_loglik_is_finite():
+    # an all-zeros (k = 0) or all-ones (k = n) sample has its MLE on the
+    # boundary, where the likelihood is 1 and the log-likelihood 0
+    fam = get_family("bernoulli")
+    n = 12
+    stats = np.array([[0.0], [float(n)]])
+    grid = np.array([[0.0], [1.0], [0.25]])
+    ll = fam.loglik_from_stats(stats, n, grid)
+    np.testing.assert_array_equal(ll[:, :2], [[0.0, -np.inf], [-np.inf, 0.0]])
+    np.testing.assert_allclose(ll[:, 2], [n * math.log(0.75), n * math.log(0.25)], rtol=1e-15)
+    mle = fam.mle_from_stats(stats, n)
+    np.testing.assert_array_equal(fam.loglik_from_stats(stats, n, mle[:, None, :]), [[0.0], [0.0]])

@@ -2,12 +2,14 @@
 agreement, determinism, and the sweep drivers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from modev import (
     Budget,
@@ -17,7 +19,10 @@ from modev import (
     DiscrepancyEvent,
     DomainError,
     GridError,
+    BayesEvent,
     MleEvent,
+    PosteriorMassEvent,
+    PriorSpec,
     ProbEstimate,
     PsiEvent,
     RatePoint,
@@ -28,10 +33,12 @@ from modev import (
     chunk_size,
     equivalence_tail,
     estimate_prob,
+    fisher_information,
     get_family,
     ldp_curve,
     rep_rng,
 )
+from modev import rarevent
 
 HALF = lambda c: RegionSpec("half_space", d=1, a=np.array([1.0]), c=c)
 
@@ -152,17 +159,54 @@ def test_crude_nested_regions_monotone_under_shared_seed():
 
 
 def test_deep_tail_stays_usable_in_log_domain():
-    # p ~ exp(-454): far below float underflow for p itself
+    # p ~ exp(-454): far below float underflow for p itself.  Tilted to the
+    # dominating point the weights stay healthy on every seed of the range.
     fam = get_family("gaussian")
     ex = estimate_prob(MleEvent(HALF(1.0)), fam, np.zeros(1), 10000, 0.3, method="exact")
     assert ex.log_p == pytest.approx(float(sps.norm.logsf(30.0)), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateWeightsWarning)
+        for seed in range(7, 47):
+            r = estimate_prob(
+                MleEvent(HALF(1.0)), fam, np.zeros(1), 10000, 0.3,
+                method="tilted", n_reps=2000, seed=seed,
+            )
+            assert math.isfinite(r.log_p)
+            assert abs(r.log_p - ex.log_p) <= 4.0 * r.stderr_log, seed
+
+
+def test_overshot_tilt_warns_about_degenerate_weights(monkeypatch):
+    # a tilt three times past the dominating point puts every replication in
+    # the event, with weights so uneven that a handful of them carry the sum
+    fam = get_family("gaussian")
+
+    def overshot(fam, region, theta_gen, u_n, i_inv_sqrt):
+        return [theta_gen + 3.0 * u_n * (i_inv_sqrt @ region.nearest_points()[0])]
+
+    monkeypatch.setattr(rarevent, "_deviation_tilts", overshot)
     with pytest.warns(DegenerateWeightsWarning):
-        r = estimate_prob(
-            MleEvent(HALF(1.0)), fam, np.zeros(1), 10000, 0.3,
-            method="tilted", n_reps=2000, seed=7,
+        estimate_prob(
+            MleEvent(HALF(1.0)), fam, np.zeros(1), 400, 0.3,
+            method="tilted", n_reps=2000, seed=0,
         )
-    assert math.isfinite(r.log_p)
-    assert abs(r.log_p - ex.log_p) <= 4.0 * r.stderr_log
+
+
+def test_tiny_tilt_shift_keeps_its_weights():
+    # a 1e-9 shift lies inside allclose's absolute tolerance, yet its weights
+    # are exp((theta_gen - comp) S + n (comp^2 - theta_gen^2) / 2), not 1
+    fam = get_family("gaussian")
+    n, reps, shift, seed = 400, 500, 1e-9, 3
+    theta_gen = np.zeros(1)
+    comp = theta_gen + shift
+    pt = rarevent._Point(
+        fam, MleEvent(HALF(1.0)), theta_gen, theta_gen, n, 0.15, np.zeros(1), 0.5,
+        fisher_information(fam, theta_gen), seed, 0, (comp,),
+    )
+    lw_all = rarevent._sim_chunk(0, reps, pt)[3]
+    stats = fam.draw_stats(rep_rng(seed, 0, 0), np.repeat(comp[None], reps, axis=0), n)
+    logw = -shift * stats[:, 0] + 0.5 * n * shift**2
+    assert abs(lw_all - logsumexp(logw)) < 1e-13
+    assert abs(lw_all - math.log(reps)) > 1e-11
 
 
 def test_zero_hits_report_upper_bound():
@@ -185,10 +229,11 @@ def test_crude_refuses_unresolvable_probability():
 
 
 def test_tilt_leaving_parameter_domain_raises():
+    # the tilt sits at theta0 + u_n sigma = 0.5 + 1.0 * 0.5 = 1, outside (0.01, 0.99)
     fam = get_family("bernoulli")
     with pytest.raises(TiltDomainError):
         estimate_prob(
-            MleEvent(HALF(1.0)), fam, np.array([0.5]), 100, 0.95, method="tilted", n_reps=100
+            MleEvent(HALF(1.0)), fam, np.array([0.5]), 100, 1.0, method="tilted", n_reps=100
         )
 
 
@@ -206,6 +251,74 @@ def test_estimate_prob_validation():
     with pytest.raises(DomainError):
         # theta_gen = 0.9 + 0.5 leaves (0, 1)
         estimate_prob(ev, get_family("bernoulli"), np.array([0.9]), 100, 0.5, b=np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# statistic path against the full-sample path and the exact tails
+# ---------------------------------------------------------------------------
+
+
+def _samples_only(fam):
+    """The same family without a statistic law: the kernel draws full samples."""
+    cls = type(fam)
+    return type(cls.__name__ + "Samples", (cls,), {"draw_stats": lambda self, rng, th, n: None})()
+
+
+HALF2 = RegionSpec("half_space", d=2, a=np.array([0.6, 0.8]), c=1.0)
+STAT_CASES = {
+    "gaussian-mle": ("gaussian", [0.0], 400, 0.15, MleEvent(HALF(1.0))),
+    "gaussian2-mle": ("gaussian2", [0.0, 0.0], 400, 0.15, MleEvent(HALF2)),
+    "bernoulli-mle": ("bernoulli", [0.4], 200, 0.2, MleEvent(HALF(1.0))),
+    "exponential-mle": ("exponential", [1.0], 50, 0.3, MleEvent(HALF(1.0))),
+    "gaussian-bayes": ("gaussian", [0.0], 400, 0.15, BayesEvent(HALF(1.0), PriorSpec.flat())),
+    "gaussian-mass": ("gaussian", [0.0], 400, 0.15, PosteriorMassEvent(HALF(1.0), 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAT_CASES))
+def test_statistic_path_matches_full_samples_and_exact_tail(case):
+    name, theta0, n, u, event = STAT_CASES[case]
+    fam = get_family(name)
+    kw = dict(method="tilted", n_reps=4000, seed=21)
+    ex = estimate_prob(event, fam, np.array(theta0), n, u, method="exact")
+    fast = estimate_prob(event, fam, np.array(theta0), n, u, **kw)
+    full = estimate_prob(event, _samples_only(fam), np.array(theta0), n, u, **kw)
+    for r in (fast, full):
+        assert not r.upper_bound
+        assert abs(r.log_p - ex.log_p) <= 3.0 * r.stderr_log
+    assert abs(fast.log_p - full.log_p) <= 3.0 * math.hypot(fast.stderr_log, full.stderr_log)
+
+
+@pytest.mark.parametrize("name,theta0,n", (("bernoulli", 0.4, 64), ("exponential", 1.0, 256)))
+def test_lr_vs_wald_statistic_path_matches_full_samples(name, theta0, n):
+    # no closed form here; the two paths estimate the same probability
+    fam = get_family(name)
+    event = DiscrepancyEvent("lr_vs_wald", 0.125)
+    kw = dict(method="tilted", n_reps=4000, seed=21)
+    fast = estimate_prob(event, fam, np.array([theta0]), n, n**-0.25, **kw)
+    full = estimate_prob(event, _samples_only(fam), np.array([theta0]), n, n**-0.25, **kw)
+    assert not (fast.upper_bound or full.upper_bound)
+    assert abs(fast.log_p - full.log_p) <= 3.0 * math.hypot(fast.stderr_log, full.stderr_log)
+
+
+def test_statistic_events_never_draw_full_samples(monkeypatch):
+    fam = get_family("gaussian")
+    drawn = []
+    draw = type(fam).draw
+
+    def counted(self, rng, thetas, n):
+        drawn.append(len(thetas))
+        return draw(self, rng, thetas, n)
+
+    monkeypatch.setattr(type(fam), "draw", counted)
+    kw = dict(method="tilted", n_reps=300, seed=2)
+    for event in (MleEvent(HALF(1.0)), BayesEvent(HALF(1.0)), PosteriorMassEvent(HALF(1.0)),
+                  DiscrepancyEvent("lr_vs_wald", 0.125)):
+        estimate_prob(event, fam, np.zeros(1), 400, 0.15, **kw)
+    assert drawn == []
+    # the truncated score needs the samples themselves
+    estimate_prob(PsiEvent(HALF(1.0)), fam, np.zeros(1), 400, 0.15, **kw)
+    assert sum(drawn) == 300
 
 
 # ---------------------------------------------------------------------------
