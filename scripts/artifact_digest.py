@@ -57,6 +57,12 @@ for _name, _extra in (
         "family": "gaussian", "theta0": [0.0], "seed": 5, "region": HALF,
         "schedule": SCHEDULE, "budget": BUDGET, **_extra,
     }))
+# at n = 64, 256 the posterior sub-box is clipped to the parameter domain (0.01, 0.99)
+RUNS.append(("ldp-curve", "bernoulli-bayes", {
+    "family": "bernoulli", "theta0": [0.5], "seed": 5, "region": HALF, "event": "bayes",
+    "prior": {"kind": "flat"}, "loss": {"kind": "power", "p": 2.0},
+    "schedule": SCHEDULE, "budget": BUDGET,
+}))
 for _name, _prior in (("flat", {"kind": "flat"}),
                       ("gaussian-prior", {"kind": "gaussian", "mean": [0.1], "sd": 0.5})):
     RUNS.append(("posterior-concentration", _name, {

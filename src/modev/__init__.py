@@ -75,10 +75,8 @@ from .conditions import (
 )
 from .estimators import (
     LossSpec,
-    MleResult,
     PosteriorGrid,
     PriorSpec,
-    SearchSettings,
     StatTriple,
     bayes_estimate,
     default_posterior_box,

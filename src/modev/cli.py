@@ -50,7 +50,7 @@ from .config import (
     _theta0,
 )
 from .errors import ConfigError, EmptyDirError, ModevError
-from .estimators import LossSpec, default_posterior_box, posterior_grid
+from .estimators import LossSpec, bayes_loss_supported, default_posterior_box, posterior_grid
 from .families import Box, draw_sample
 from .lan import TruncationPolicy, lan_residual, sup_lan_residual
 from .rarevent import (
@@ -234,9 +234,14 @@ def run_ldp_curve(cfg: CurveConfig, workers: int, out_dir: Path) -> list[str]:
     fam = family_from_config(cfg.family)
     theta0 = _theta0(cfg.theta0, fam)
     region = region_from_dict(cfg.region)
+    loss = loss_from_dict(cfg.loss)
+    if cfg.event == "bayes" and not bayes_loss_supported(loss, fam.d):
+        raise ConfigError(
+            "bayes events need squared loss (euclidean or weighted norm when d > 1)"
+            " or absolute loss in one dimension"
+        )
     event = _build_event(
-        cfg.event, region, prior_from_dict(cfg.prior), loss_from_dict(cfg.loss),
-        cfg.resolution, cfg.threshold,
+        cfg.event, region, prior_from_dict(cfg.prior), loss, cfg.resolution, cfg.threshold
     )
     curve = ldp_curve(
         event, fam, theta0, schedule_from_dict(cfg.schedule), budget_from_dict(cfg.budget),

@@ -41,7 +41,7 @@ _QUAD_ACCEPT = 1e-9
 
 @dataclass(frozen=True)
 class Box:
-    """Open axis-aligned box in R^d."""
+    """Open axis-aligned box in R^d; bounds with leading axes hold one box per row."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -58,7 +58,7 @@ class Box:
 
     @property
     def d(self) -> int:
-        return self.lo.size
+        return self.lo.shape[-1]
 
     def width(self) -> np.ndarray:
         return self.hi - self.lo
@@ -174,10 +174,6 @@ class ParametricFamily:
         """Classical score; equals 2 phi wherever the density is smooth."""
         return 2.0 * self.score_phi(x, theta)
 
-    def hess_log_density(self, x, theta):
-        """d^2/dtheta^2 log f, used for Newton polish; None disables polish."""
-        return None
-
     def fisher_closed_form(self, theta) -> Optional[np.ndarray]:
         return None
 
@@ -215,9 +211,6 @@ class ParametricFamily:
         return None
 
     # -- conveniences --------------------------------------------------
-    def loglik(self, obs, theta) -> float:
-        return float(np.sum(self.log_density(obs, theta)))
-
     def validate_theta(self, theta) -> np.ndarray:
         return _as_theta(self, theta)
 
@@ -243,9 +236,6 @@ class GaussianLocation(ParametricFamily):
 
     def score_phi(self, x, theta):
         return (np.asarray(x, dtype=float)[..., None] - theta) / 2.0
-
-    def hess_log_density(self, x, theta):
-        return -np.ones_like(np.asarray(x, dtype=float))
 
     def fisher_closed_form(self, theta):
         return np.array([[1.0]])
@@ -285,13 +275,6 @@ class GaussianLocation2(ParametricFamily):
 
     def score_phi(self, x, theta):
         return (np.asarray(x, dtype=float) - theta) / 2.0
-
-    def hess_log_density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        h = np.zeros(x.shape[:-1] + (2, 2))
-        h[..., 0, 0] = -1.0
-        h[..., 1, 1] = -1.0
-        return h
 
     def fisher_closed_form(self, theta):
         return np.eye(2)
@@ -336,11 +319,6 @@ class Bernoulli(ParametricFamily):
         x = np.asarray(x, dtype=float)[..., None]
         return (x - theta) / (2.0 * theta * (1.0 - theta))
 
-    def hess_log_density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = theta[..., 0]
-        return -x / theta**2 - (1.0 - x) / (1.0 - theta) ** 2
-
     def fisher_closed_form(self, theta):
         t = theta[0]
         return np.array([[1.0 / (t * (1.0 - t))]])
@@ -383,11 +361,6 @@ class ExponentialRate(ParametricFamily):
     def score_phi(self, x, theta):
         x = np.asarray(x, dtype=float)[..., None]
         return (1.0 / theta - x) / 2.0
-
-    def hess_log_density(self, x, theta):
-        theta = theta[..., 0]
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(-1.0 / theta**2, np.broadcast_shapes(x.shape, theta.shape)).copy()
 
     def fisher_closed_form(self, theta):
         return np.array([[1.0 / theta[0] ** 2]])

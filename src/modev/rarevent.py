@@ -41,7 +41,14 @@ from .errors import (
     TiltDomainError,
 )
 from .families import FisherInfo, ParametricFamily, fisher_information, loglik_grid
-from .estimators import LossSpec, PriorSpec
+from .estimators import (
+    LossSpec,
+    PriorSpec,
+    bayes_estimates,
+    bayes_loss_supported,
+    default_posterior_box,
+    grid_nodes,
+)
 from .regions import RegionSpec, rate_functional
 from .sampling import rep_rng, run_chunks
 
@@ -264,43 +271,20 @@ def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> _Draws:
 
 
 def _grid_posterior(draws: _Draws, prior, resolution, n, u_n):
-    """Per-replication posterior grids (one dimension)."""
+    """Per-replication posterior grids (one dimension): nodes (R, G, 1) and
+    normalized weights (R, G)."""
     fam = draws.fam
     if fam.d != 1:
+        # a 256-node grid per axis in every replication of a chunk would not fit
         raise DomainError("replication posterior grids support one dimension only")
-    pilot = draws.mle()[:, 0]
-    hw = max(10.0 / math.sqrt(n), 5.0 * u_n)
-    dom = fam.theta_domain
-    margin = 1e-9 * float(dom.width()[0])
-    lo = np.clip(pilot - hw, dom.lo[0] + margin, dom.hi[0] - 2 * margin)
-    hi = np.clip(pilot + hw, lo + margin, dom.hi[0] - margin)
-    frac = np.linspace(0.0, 1.0, resolution)
-    nodes = lo[:, None] + frac[None, :] * (hi - lo)[:, None]  # (R, G)
-    lw = draws.loglik(nodes[..., None])
-    if prior.kind == "gaussian":
-        lw = lw - 0.5 * ((nodes - float(prior.mean[0])) / prior.sd) ** 2
+    nodes = grid_nodes(default_posterior_box(fam, draws.mle(), n, u_n), resolution)
+    lw = draws.loglik(nodes)
+    if prior.kind != "flat":
+        lw += prior.log_density(nodes)
     lw -= lw.max(axis=1, keepdims=True)
     w = np.exp(lw)
     w /= w.sum(axis=1, keepdims=True)
     return nodes, w
-
-
-def _bayes_estimates(draws: _Draws, prior, loss, resolution, n, u_n) -> np.ndarray:
-    nodes, w = _grid_posterior(draws, prior, resolution, n, u_n)
-    if loss.kind == "power" and loss.p == 2.0:
-        return np.sum(w * nodes, axis=1)
-    if loss.kind == "linear" or (loss.kind == "power" and loss.p == 1.0):
-        # weighted median, linearly interpolated inside the crossing cell
-        cum = np.cumsum(w, axis=1)
-        j = np.argmax(cum >= 0.5, axis=1)
-        rows = np.arange(nodes.shape[0])
-        c1 = cum[rows, j]
-        c0 = np.where(j > 0, cum[rows, np.maximum(j - 1, 0)], 0.0)
-        x1 = nodes[rows, j]
-        x0 = np.where(j > 0, nodes[rows, np.maximum(j - 1, 0)], nodes[:, 0])
-        t = np.where(c1 > c0, (0.5 - c0) / np.maximum(c1 - c0, 1e-300), 0.0)
-        return x0 + t * (x1 - x0)
-    raise DomainError("replication Bayes kernels support squared or absolute loss")
 
 
 def _indicator(pt: _Point, draws: _Draws) -> np.ndarray:
@@ -313,8 +297,9 @@ def _indicator(pt: _Point, draws: _Draws) -> np.ndarray:
         w = 2.0 * _psi_matrix(pt, draws.obs) / (math.sqrt(n) * u_n) - (i_sqrt @ pt.b)[None, :]
         return event.region.contains(w)
     if isinstance(event, BayesEvent):
-        est = _bayes_estimates(draws, event.prior, event.loss, event.resolution, n, u_n)
-        w = (est[:, None] - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
+        nodes, probs = _grid_posterior(draws, event.prior, event.resolution, n, u_n)
+        est = bayes_estimates(nodes, probs, event.loss)
+        w = (est - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
         return event.region.contains(w)
     if isinstance(event, PosteriorMassEvent):
         return _posterior_masses(pt, draws) > event.threshold
@@ -333,9 +318,9 @@ def _posterior_masses(pt: _Point, draws: _Draws) -> np.ndarray:
         and reg.shape == "half_space"
     ):
         # Conjugate truncated posterior N(xbar, 1/n) on the default sub-box.
-        xbar = draws.mle()[:, 0]
-        hw = max(10.0 / math.sqrt(n), 5.0 * u_n)
-        lo, hi = xbar - hw, xbar + hw
+        est = draws.mle()
+        box = default_posterior_box(fam, est, n, u_n)
+        xbar, lo, hi = est[:, 0], box.lo[:, 0], box.hi[:, 0]
         sn = math.sqrt(n)
         a = float(reg.a[0])
         t = theta_gen[0] + u_n * reg.c / (a * float(i_sqrt[0, 0]))
@@ -348,7 +333,7 @@ def _posterior_masses(pt: _Point, draws: _Draws) -> np.ndarray:
             num = sps.norm.cdf(z_t) - sps.norm.cdf(z_lo)
         return num / np.maximum(denom, 1e-300)
     nodes, w = _grid_posterior(draws, event.prior, event.resolution, n, u_n)
-    std = (nodes - theta_gen[0]) * float(i_sqrt[0, 0]) / u_n
+    std = (nodes[..., 0] - theta_gen[0]) * float(i_sqrt[0, 0]) / u_n
     inside = reg.contains(std.reshape(-1, 1)).reshape(std.shape)
     return np.sum(w * inside, axis=1)
 
@@ -504,13 +489,16 @@ def _exact_tail(event, fam, theta0, n, u_n, b, eps, seed) -> ProbEstimate:
     if region is None:
         raise DomainError("no exact tail oracle for discrepancy events")
     if isinstance(event, BayesEvent):
+        # a flat-prior Gaussian posterior is symmetric about xbar, so both
+        # closed-form Bayes estimates (posterior mean and median) are xbar
         if not (
             fam.name in ("gaussian", "gaussian2")
             and event.prior.kind == "flat"
-            and event.loss.kind == "power"
-            and event.loss.p == 2.0
+            and bayes_loss_supported(event.loss, fam.d)
         ):
-            raise DomainError("exact Bayes tails need Gaussian, flat prior, squared loss")
+            raise DomainError(
+                "exact Bayes tails need Gaussian, flat prior, squared or 1-d absolute loss"
+            )
     if isinstance(event, PosteriorMassEvent):
         if not (fam.name == "gaussian" and event.prior.kind == "flat" and region.shape == "half_space"):
             raise DomainError("exact posterior-mass tails need Gaussian, flat prior, half-space")

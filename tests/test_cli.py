@@ -1,6 +1,7 @@
 """End-to-end CLI tests: each subcommand run in process against tiny budgets,
 plus config validation, manifest reruns, and the report validator."""
 
+import importlib
 import json
 import logging
 import re
@@ -286,6 +287,21 @@ def test_condition_exponents_checked_against_dimension_before_any_check(tmp_path
     assert not (out / "conditions.json").exists()
 
 
+def test_unsupported_bayes_loss_rejected_before_any_draw(tmp_path, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a replication stream was opened")
+
+    monkeypatch.setattr(modev.rarevent, "rep_rng", no_draws)
+    cfg = {
+        "family": "gaussian", "event": "bayes",
+        "loss": {"kind": "table", "xs": [0.0, 1.0], "ys": [0.0, 1.0]},
+        "schedule": {"n_values": [64, 256]}, "budget": {"n_reps": 300, "min_reps": 100},
+    }
+    rc, out = run(tmp_path, "ldp-curve", cfg)
+    assert rc == 2
+    assert not (out / "ldp_curve.csv").exists()
+
+
 def test_missing_config_file(tmp_path):
     rc = main(["report", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -314,6 +330,14 @@ def test_names_in_readme_resolve():
     bullets = _readme_section("Subcommands:", "Configs are")
     subcommands = re.findall(r"^- `([a-z-]+)`:", bullets, re.M)
     assert sorted(subcommands) == sorted(_RUNNERS)
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lists = re.findall(r"live\s+in\s+`modev\.(\w+)`\s+\(([^)]*)\)", text)
+    assert {module for module, _ in lists} >= {"conditions", "lan", "estimators"}
+    for module, names in lists:
+        names = re.findall(r"`(\w+)`", names)
+        assert names
+        for name in names:
+            assert hasattr(importlib.import_module(f"modev.{module}"), name), (module, name)
 
 
 def test_version_flag_exits_cleanly():

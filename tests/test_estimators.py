@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modev import (
+    BoundaryWarning,
     Box,
+    DomainError,
     GridError,
     LossSpec,
     PriorSpec,
@@ -45,21 +47,21 @@ def _manual(obs, family, theta):
 
 def test_mle_worked_values():
     r = mle(_manual([-1.0, 1.0, 3.0], "gaussian", 0.0), get_family("gaussian"))
-    assert float(r.theta_hat[0]) == pytest.approx(1.0, abs=1e-8)
-    assert r.converged
+    assert r.shape == (1,)
+    assert float(r[0]) == pytest.approx(1.0, abs=1e-8)
     r = mle(_manual([1.0, 3.0], "exponential", 1.0), get_family("exponential"))
-    assert float(r.theta_hat[0]) == pytest.approx(0.5, abs=1e-8)
+    assert float(r[0]) == pytest.approx(0.5, abs=1e-8)
     r = mle(_manual([1.0, 1.0, 0.0, 1.0], "bernoulli", 0.5), get_family("bernoulli"))
-    assert float(r.theta_hat[0]) == pytest.approx(0.75, abs=1e-8)
+    assert float(r[0]) == pytest.approx(0.75, abs=1e-8)
     r = mle(_manual([0.0, 2.0, 5.0], "laplace", 0.0), get_family("laplace"))
-    assert float(r.theta_hat[0]) == pytest.approx(2.0, abs=1e-8)
+    assert float(r[0]) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_mle_planar_gaussian_is_the_mean_vector():
     fam = get_family("gaussian2")
     sample = draw_sample(fam, np.array([0.4, -0.6]), 50, seed=3)
     r = mle(sample, fam)
-    np.testing.assert_allclose(r.theta_hat, sample.observations.mean(axis=0), atol=1e-8)
+    np.testing.assert_allclose(r, sample.observations.mean(axis=0), atol=1e-8)
 
 
 @pytest.mark.parametrize("family", ("gaussian", "exponential", "bernoulli", "laplace"))
@@ -76,10 +78,9 @@ def test_mle_matches_sufficient_statistic(family):
             want = 1.0 / float(np.mean(obs))
         elif family == "bernoulli":
             want = float(np.mean(obs))
-            want = min(max(want, 0.01), 0.99)  # estimate clipped to the domain
         else:
             want = float(np.median(obs))
-        assert float(mle(sample, fam).theta_hat[0]) == pytest.approx(want, abs=1e-8)
+        assert float(mle(sample, fam)[0]) == pytest.approx(want, abs=1e-8)
 
 
 def test_mle_permutation_invariant():
@@ -89,8 +90,8 @@ def test_mle_permutation_invariant():
     rng = np.random.default_rng(0)
     perm = rng.permutation(n)
     shuffled = _manual(sample.observations[perm], "gaussian", 0.0)
-    a = float(mle(sample, fam).theta_hat[0])
-    b = float(mle(shuffled, fam).theta_hat[0])
+    a = float(mle(sample, fam)[0])
+    b = float(mle(shuffled, fam)[0])
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -141,6 +142,21 @@ def test_bayes_estimate_planar():
     post = posterior_grid(sample, fam, prior, box, resolution=256)
     est = bayes_estimate(post, LossSpec.power(2.0))
     np.testing.assert_allclose(est, xbar, atol=1e-3)
+    # the spatial median has no closed form on the grid
+    with pytest.raises(DomainError):
+        bayes_estimate(post, LossSpec.power(1.0))
+
+
+def test_planar_grid_nodes_are_the_ij_meshgrid_of_the_axes():
+    fam = get_family("gaussian2")
+    sample = draw_sample(fam, np.zeros(2), 16, seed=4)
+    box = Box(np.array([-0.7, 0.2]), np.array([0.9, 1.3]))
+    post = posterior_grid(sample, fam, PriorSpec.flat(), box, resolution=64)
+    axes = [np.linspace(box.lo[k], box.hi[k], 64) for k in range(2)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    want = np.stack([m.ravel() for m in mesh], axis=-1)
+    assert post.nodes.flags.c_contiguous
+    assert np.array_equal(post.nodes, want)
 
 
 def test_posterior_mass_flat_prior_tail():
@@ -188,6 +204,14 @@ def test_default_posterior_box_tracks_pilot():
     box = default_posterior_box(fam, np.array([0.5]), n=100, u_n=0.1)
     assert box.lo[0] < 0.5 < box.hi[0]
     assert box.hi[0] - box.lo[0] == pytest.approx(2.0 * max(10.0 / 10.0, 0.5))
+    # one box per pilot row; a pilot on or past the boundary keeps a sliver inside
+    fam = get_family("bernoulli")
+    pilots = np.array([[0.5], [1.0], [0.0]])
+    rows = default_posterior_box(fam, pilots, n=10**8, u_n=1e-3)
+    for pilot, lo, hi in zip(pilots, rows.lo, rows.hi):
+        one = default_posterior_box(fam, pilot, n=10**8, u_n=1e-3)
+        assert np.array_equal(one.lo, lo) and np.array_equal(one.hi, hi)
+        assert fam.theta_domain.lo[0] < lo[0] < hi[0] < fam.theta_domain.hi[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +226,18 @@ def test_statistics_gaussian_identity():
         t = stat_triple(sample, fam, 0.1)
         assert abs(t.wald - t.rao) < 1e-10
         assert abs(t.wald - t.lr) < 1e-10
+
+
+def test_statistics_at_the_boundary_estimate():
+    # an all-ones sample has MLE 1, outside the open box (0.01, 0.99): the
+    # estimate is not clipped, and the likelihood ratio stays finite
+    fam = get_family("bernoulli")
+    with pytest.warns(BoundaryWarning):
+        t = stat_triple(_manual([1.0, 1.0, 1.0, 1.0], "bernoulli", 0.5), fam, 0.5)
+    assert float(t.theta_hat[0]) == 1.0
+    assert t.wald == pytest.approx(4.0, abs=1e-12)
+    assert t.rao == pytest.approx(4.0, abs=1e-12)
+    assert t.lr == pytest.approx(8.0 * math.log(2.0), abs=1e-12)
 
 
 def test_statistics_bernoulli_worked_values():

@@ -20,6 +20,7 @@ from modev import (
     DomainError,
     GridError,
     BayesEvent,
+    LossSpec,
     MleEvent,
     PosteriorMassEvent,
     PriorSpec,
@@ -271,6 +272,8 @@ STAT_CASES = {
     "bernoulli-mle": ("bernoulli", [0.4], 200, 0.2, MleEvent(HALF(1.0))),
     "exponential-mle": ("exponential", [1.0], 50, 0.3, MleEvent(HALF(1.0))),
     "gaussian-bayes": ("gaussian", [0.0], 400, 0.15, BayesEvent(HALF(1.0), PriorSpec.flat())),
+    "gaussian-bayes-absolute": ("gaussian", [0.0], 400, 0.15,
+                                BayesEvent(HALF(1.0), PriorSpec.flat(), LossSpec.power(1.0))),
     "gaussian-mass": ("gaussian", [0.0], 400, 0.15, PosteriorMassEvent(HALF(1.0), 0.5)),
 }
 
