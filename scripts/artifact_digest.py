@@ -48,6 +48,12 @@ for _family, _theta0 in (("gaussian", [0.0]), ("bernoulli", [0.5]), ("exponentia
         "family": _family, "theta0": _theta0, "seed": 3, "delta": 0.125,
         "schedule": SCHEDULE, "budget": BUDGET,
     }))
+# Laplace has no sufficient statistic and its couplings pick their tilt on the
+# pilot ladder; odd n keeps the median a single order statistic
+RUNS.append(("equivalence", "laplace", {
+    "family": "laplace", "theta0": [0.0], "seed": 3, "delta": 0.125,
+    "schedule": {**SCHEDULE, "n_values": [65, 257]}, "budget": BUDGET,
+}))
 for _name, _extra in (
     ("bayes-squared", {"event": "bayes", "loss": {"kind": "power", "p": 2.0}}),
     ("bayes-absolute", {"event": "bayes", "loss": {"kind": "power", "p": 1.0}}),

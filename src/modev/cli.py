@@ -126,6 +126,15 @@ def _build_event(kind: str, region, prior, loss, resolution: int, threshold: flo
     raise ConfigError(f"unknown event kind {kind!r}")
 
 
+def _check_posterior_grid_dimension(fam, method: str) -> None:
+    """Monte Carlo Bayes and posterior-mass events build one posterior grid per
+    replication, in one dimension only; refuse others before any draw."""
+    if method != "exact" and fam.d != 1:
+        raise ConfigError(
+            "Monte Carlo bayes and posterior_mass events need a one-dimensional family"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Subcommand runners
 # ---------------------------------------------------------------------------
@@ -240,6 +249,8 @@ def run_ldp_curve(cfg: CurveConfig, workers: int, out_dir: Path) -> list[str]:
             "bayes events need squared loss (euclidean or weighted norm when d > 1)"
             " or absolute loss in one dimension"
         )
+    if cfg.event in ("bayes", "posterior_mass"):
+        _check_posterior_grid_dimension(fam, cfg.method)
     event = _build_event(
         cfg.event, region, prior_from_dict(cfg.prior), loss, cfg.resolution, cfg.threshold
     )
@@ -290,6 +301,7 @@ def run_posterior_concentration(
     region = region_from_dict(cfg.region)
     prior = prior_from_dict(cfg.prior)
     schedule = schedule_from_dict(cfg.schedule)
+    _check_posterior_grid_dimension(fam, cfg.method)
     event = PosteriorMassEvent(region, cfg.threshold, prior, cfg.resolution)
     curve = ldp_curve(
         event, fam, theta0, schedule, budget_from_dict(cfg.budget),

@@ -14,6 +14,17 @@ Generator(seed=[s, i, r]), pilot chunks from [s, i, 2^33 + r].  Chunk bounds
 depend only on the sample size n and partial results are combined in chunk
 order, so output is byte-identical for any worker count.
 
+Worker pool: each call of estimate_prob owns one sampling.PointPool, which
+serves both the pilot ladder (below) and the main chunks and is closed when
+the call returns or raises.  No pool outlives its rate point.
+
+Pilot ladder: an event with no region (the couplings) picks its tilt from
+seeded pilot runs at shifts b = 0, 0.5, ..., 4, each on its own stream.  The
+first rung whose event frequency reaches 0.2 wins, else the most frequent
+rung.  Rungs run in ladder order in waves as wide as the pool, and the ladder
+stops after the first wave that holds a winner; since no rung's result
+depends on another, the choice is the one the full ladder would make.
+
 Statistic path: when the event's indicator and the tilt weights read the data
 only through a sufficient statistic (MLE, Bayes, posterior-mass and lr_vs_wald
 events on a family with a draw_stats hook), a chunk draws that statistic from
@@ -50,11 +61,12 @@ from .estimators import (
     grid_nodes,
 )
 from .regions import RegionSpec, rate_functional
-from .sampling import rep_rng, run_chunks
+from .sampling import PointPool, rep_rng, run_chunks
 
 _PILOT_BASE = 2**33  # replication indices for pilot draws, disjoint from main runs
 _PILOT_REPS = 400
 _PILOT_B_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+_PILOT_TARGET_FREQ = 0.2  # the first rung at or above this event frequency wins
 _ZERO_HIT_NUMERATOR = 3.0  # one-sided ~95% bound when no replication hits
 
 
@@ -412,23 +424,26 @@ def _deviation_tilts(fam, region, theta_gen, u_n, i_inv_sqrt) -> list[np.ndarray
     return uniq
 
 
-def _pilot_tilts(pt: _Point):
+def _pilot_tilts(pt: _Point, pool: PointPool):
     """Seeded pilot over a ladder of standardized shifts; returns the mixture
     components and the chosen shift size for the method tag."""
     fam, theta_gen, u_n, i_inv_sqrt = pt.fam, pt.theta_gen, pt.u_n, pt.fisher.inv_sqrt
     e1 = np.zeros(fam.d)
     e1[0] = 1.0
-    freqs = []
+    rungs = []  # the pilot point of each rung, None where it leaves the domain
     for bi, b_try in enumerate(_PILOT_B_GRID):
         comp = theta_gen + u_n * b_try * (i_inv_sqrt @ e1)
-        if not fam.theta_domain.contains(comp):
-            freqs.append(-1.0)
-            continue
         pilot = replace(pt, components=(comp,), point_index=pt.point_index + 1000 * (bi + 1))
-        hits = _pilot_chunk(0, _PILOT_REPS, pilot)
-        freqs.append(hits / _PILOT_REPS)
+        rungs.append(pilot if fam.theta_domain.contains(comp) else None)
+    freqs = []  # -1 marks a rung outside the domain
+    for first in range(0, len(rungs), pool.workers):
+        wave = rungs[first : first + pool.workers]
+        hits = iter(pool.map(_pilot_chunk, [(0, _PILOT_REPS, p) for p in wave if p is not None]))
+        freqs += [-1.0 if p is None else next(hits) / _PILOT_REPS for p in wave]
+        if max(freqs) >= _PILOT_TARGET_FREQ:
+            break
     freqs_arr = np.array(freqs)
-    ok = np.flatnonzero(freqs_arr >= 0.2)
+    ok = np.flatnonzero(freqs_arr >= _PILOT_TARGET_FREQ)
     bi = int(ok[0]) if ok.size else int(np.argmax(freqs_arr))
     b_star = _PILOT_B_GRID[bi]
     if b_star == 0.0:
@@ -605,17 +620,18 @@ def estimate_prob(
     region = _event_region(event)
 
     method_tag = method
-    if method == "crude":
-        _guard_crude(event, fam, theta0, n, u_n, b, eps, region, seed)
-        components = [theta_gen.copy()]
-    elif region is not None:
-        components = _deviation_tilts(fam, region, theta_gen, u_n, fisher.inv_sqrt)
-    else:
-        components, b_star = _pilot_tilts(pt)
-        method_tag = f"tilted(pilot-b={b_star:g})"
+    with PointPool(workers) as pool:
+        if method == "crude":
+            _guard_crude(event, fam, theta0, n, u_n, b, eps, region, seed)
+            components = [theta_gen.copy()]
+        elif region is not None:
+            components = _deviation_tilts(fam, region, theta_gen, u_n, fisher.inv_sqrt)
+        else:
+            components, b_star = _pilot_tilts(pt, pool)
+            method_tag = f"tilted(pilot-b={b_star:g})"
 
-    pt = replace(pt, components=tuple(components))
-    partials = run_chunks(_sim_chunk, n_reps, n, workers, pt)
+        pt = replace(pt, components=tuple(components))
+        partials = run_chunks(_sim_chunk, n_reps, n, pool, pt)
 
     hits = sum(p[0] for p in partials)
     lw_hit = float(logsumexp(np.array([p[1] for p in partials])))

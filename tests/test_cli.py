@@ -107,6 +107,24 @@ def test_worker_flag_does_not_change_artifacts(tmp_path):
     assert (tmp_path / "w3" / "ldp_curve.csv").read_bytes() == (out1 / "ldp_curve.csv").read_bytes()
 
 
+def test_worker_flag_does_not_change_pilot_tilted_artifacts(tmp_path):
+    # Laplace couplings pick their tilt on the pilot ladder, whose rungs run
+    # in waves as wide as the worker count
+    cfg = {
+        "family": "laplace", "delta": 0.125, "seed": 3,
+        "schedule": {"n_values": [65, 257]}, "budget": {"n_reps": 300, "min_reps": 100},
+    }
+    _, out1 = run(tmp_path, "equivalence", cfg, out="w1")
+    cfg_path = write_config(tmp_path, "w3.json", cfg)
+    out3 = tmp_path / "w3"
+    assert main(["equivalence", "--config", cfg_path, "--out", str(out3), "--workers", "3"]) == 0
+    csvs = sorted(p.name for p in out1.glob("equivalence_*.csv"))
+    assert len(csvs) == 3
+    assert "tilted(pilot-b=1)" in (out1 / "equivalence_lr_vs_wald.csv").read_text(encoding="utf-8")
+    for name in csvs:
+        assert (out3 / name).read_bytes() == (out1 / name).read_bytes()
+
+
 def test_equivalence_writes_one_curve_per_coupling(tmp_path):
     rc, out = run(
         tmp_path,
@@ -300,6 +318,27 @@ def test_unsupported_bayes_loss_rejected_before_any_draw(tmp_path, monkeypatch):
     rc, out = run(tmp_path, "ldp-curve", cfg)
     assert rc == 2
     assert not (out / "ldp_curve.csv").exists()
+
+
+@pytest.mark.parametrize("command, event, artifact", [
+    ("ldp-curve", "bayes", "ldp_curve.csv"),
+    ("posterior-concentration", None, "posterior_concentration.csv"),
+])
+def test_planar_posterior_events_rejected_before_any_draw(tmp_path, monkeypatch, command, event,
+                                                          artifact):
+    streams = []
+    monkeypatch.setattr(modev.rarevent, "rep_rng", lambda *args: streams.append(args))
+    cfg = {
+        "family": "gaussian2", "theta0": [0.0, 0.0],
+        "region": {"shape": "half_space", "d": 2, "a": [0.6, 0.8], "c": 1.0},
+        "schedule": {"n_values": [64, 256]}, "budget": {"n_reps": 300, "min_reps": 100},
+    }
+    if event is not None:
+        cfg["event"] = event
+    rc, out = run(tmp_path, command, cfg)
+    assert rc == 2
+    assert not (out / artifact).exists()
+    assert streams == []
 
 
 def test_missing_config_file(tmp_path):

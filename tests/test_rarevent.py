@@ -3,6 +3,7 @@ agreement, determinism, and the sweep drivers."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from modev import (
     rep_rng,
 )
 from modev import rarevent
+from modev.sampling import PointPool
 
 HALF = lambda c: RegionSpec("half_space", d=1, a=np.array([1.0]), c=c)
 
@@ -363,6 +365,117 @@ def test_rep_rng_streams():
     c = rep_rng(17, 2, 6).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# pilot ladder
+# ---------------------------------------------------------------------------
+
+
+def _coupling_point(fam, kind, theta0, n, seed, delta=0.125):
+    """The rate point estimate_prob builds for a coupling at b = 0."""
+    theta0 = np.array(theta0, dtype=float)
+    return rarevent._Point(
+        fam, DiscrepancyEvent(kind, delta), theta0, theta0.copy(), n, n**-0.25,
+        np.zeros(fam.d), 0.5, fisher_information(fam, theta0), seed, 7,
+    )
+
+
+def _full_ladder(pt):
+    """Reference: all nine rungs on their own streams, then the choice rule
+    (first rung at frequency >= 0.2, else the argmax; -1 outside the domain)."""
+    fam, inv_sqrt = pt.fam, pt.fisher.inv_sqrt
+    e1 = np.eye(fam.d)[0]
+    freqs = []
+    for bi, b_try in enumerate(rarevent._PILOT_B_GRID):
+        comp = pt.theta_gen + pt.u_n * b_try * (inv_sqrt @ e1)
+        if not fam.theta_domain.contains(comp):
+            freqs.append(-1.0)
+            continue
+        rung = replace(pt, components=(comp,), point_index=pt.point_index + 1000 * (bi + 1))
+        freqs.append(rarevent._pilot_chunk(0, rarevent._PILOT_REPS, rung) / rarevent._PILOT_REPS)
+    qualified = [bi for bi, f in enumerate(freqs) if f >= 0.2]
+    bi = qualified[0] if qualified else int(np.argmax(freqs))
+    b_star = rarevent._PILOT_B_GRID[bi]
+    if b_star == 0.0:
+        return bi, bool(qualified), freqs, [pt.theta_gen]
+    comps = [pt.theta_gen + pt.u_n * b_star * (inv_sqrt @ e)
+             for e in np.concatenate([np.eye(fam.d), -np.eye(fam.d)])]
+    return bi, bool(qualified), freqs, [c for c in comps if fam.theta_domain.contains(c)]
+
+
+@pytest.mark.parametrize("family, theta0, delta", [
+    ("laplace", [0.0], 0.125),
+    ("gaussian", [0.0], 0.125),
+    ("bernoulli", [0.9], 0.125),  # rungs from b = 1 (n = 65) or 1.5 (n = 257) leave the domain
+    ("bernoulli", [0.95], 0.25),  # no rung reaches 0.2, and rungs from b = 1 leave the domain
+])
+@pytest.mark.parametrize("kind", ["mle_vs_psi", "lr_vs_wald", "lr_vs_psi2"])
+def test_pilot_early_exit_matches_full_ladder(monkeypatch, family, theta0, delta, kind):
+    fam = get_family(family)
+    ran = []
+    pilot_chunk = rarevent._pilot_chunk
+
+    def counted(start, stop, pt):
+        ran.append(pt.point_index)
+        return pilot_chunk(start, stop, pt)
+
+    seen = set()
+    for n in (65, 257):
+        for seed in (0, 1, 2):
+            pt = _coupling_point(fam, kind, theta0, n, seed, delta)
+            bi, qualified, freqs, comps = _full_ladder(pt)
+            ran.clear()
+            with monkeypatch.context() as m:
+                m.setattr(rarevent, "_pilot_chunk", counted)
+                got, b_star = rarevent._pilot_tilts(pt, PointPool(1))
+            assert b_star == rarevent._PILOT_B_GRID[bi]
+            assert len(got) == len(comps)
+            for g, c in zip(got, comps):
+                np.testing.assert_array_equal(g, c)
+            # one worker: the ladder stops at the chosen rung, or runs every
+            # rung inside the domain when none qualifies
+            n_run = bi + 1 if qualified else sum(f >= 0 for f in freqs)
+            assert ran == [pt.point_index + 1000 * (k + 1) for k in range(n_run)]
+            seen.add((qualified, bi > 0, min(freqs) < 0))
+    if family == "laplace":
+        assert (True, True, False) in seen  # some ladders stop past the first rung
+    if delta == 0.25 and kind == "lr_vs_wald":
+        assert (False, True, True) in seen  # argmax past b = 0, with rungs outside
+
+
+def test_pilot_runs_every_rung_when_none_qualifies(monkeypatch):
+    # hit counts by rung, none reaching 0.2 * 400 = 80; the argmax is rung 2
+    hits = [10, 30, 79, 50, 0, 79, 12, 5, 40]
+    ran = []
+
+    def fake(start, stop, pt):
+        rung = (pt.point_index - 7) // 1000 - 1
+        ran.append(rung)
+        return hits[rung]
+
+    monkeypatch.setattr(rarevent, "_pilot_chunk", fake)
+    pt = _coupling_point(get_family("laplace"), "lr_vs_wald", [0.0], 257, 0)
+    comps, b_star = rarevent._pilot_tilts(pt, PointPool(1))
+    assert ran == list(range(9))
+    assert b_star == rarevent._PILOT_B_GRID[2]
+    assert len(comps) == 2
+
+
+def test_worker_count_leaves_pilot_tilted_results_bitwise_identical():
+    # chunk size 1952 at n = 2049: two main chunks; the pilot stops at
+    # b = 1.5 (rung 3), in the second wave at two and at three workers
+    fam = get_family("laplace")
+    event = DiscrepancyEvent("lr_vs_wald", 0.125)
+    n = 2049
+    runs = [
+        estimate_prob(event, fam, np.zeros(1), n, n ** (-1 / 3), n_reps=2000, seed=4, workers=w)
+        for w in (1, 2, 3)
+    ]
+    assert runs[0].method == "tilted(pilot-b=1.5)"
+    assert runs[0].p_hat > 0
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 # ---------------------------------------------------------------------------
