@@ -76,6 +76,11 @@ for _name, _prior in (("flat", {"kind": "flat"}),
         "schedule": SCHEDULE, "budget": BUDGET, "grid_dump_resolution": 64,
     }))
 RUNS.append(("check-conditions", "bernoulli", {"family": "bernoulli", "theta0": [0.5]}))
+# the truncated moments B and C1b on a half-line and a planar support
+for _family, _theta0 in (("exponential", [1.0]), ("gaussian2", [0.0, 0.0])):
+    RUNS.append(("check-conditions", _family, {
+        "family": _family, "theta0": _theta0, "checks": ["moment_b", "c"],
+    }))
 
 
 def main() -> int:

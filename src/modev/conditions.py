@@ -12,6 +12,12 @@ modulus omega, identifiability through Hellinger separation (A0),
 exponential envelope moments (A1/A2), truncated likelihood-ratio moments
 (B), modulus and truncated-score decay rates (C1/C2), gradient moments (D),
 centered log-ratio moments (E), and loss regularity.
+
+B and C1b share one truncated-moment integrator, _truncated_moment: the
+crossings of |g| = t come from one array scan (a root on a scan node
+counts), 1-d supports are integrated whole with the crossings as breaks,
+where a piece that does not converge raises QuadratureError, and planar
+supports along polar rays.
 """
 
 from __future__ import annotations
@@ -87,15 +93,98 @@ def _jsonable(obj):
     return obj
 
 
-def _crossings(fn: Callable[[float], float], lo: float, hi: float, n: int = 4001) -> list[float]:
-    """Roots of fn on [lo, hi] located by scan plus bisection refinement."""
-    xs = np.linspace(lo, hi, n)
-    vals = np.array([fn(float(x)) for x in xs])
-    roots = []
-    for i in range(n - 1):
-        if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and vals[i] * vals[i + 1] < 0:
-            roots.append(float(optimize.brentq(fn, xs[i], xs[i + 1], xtol=1e-12)))
-    return roots
+# ---------------------------------------------------------------------------
+# Truncated moments E_theta[h 1(|g| > t)], shared by B and C1b
+# ---------------------------------------------------------------------------
+
+_SCAN_NODES = 4001
+_RAYS = 64
+
+
+def _crossings(fn: Callable, grid: np.ndarray) -> list[float]:
+    """Roots of the vectorized fn over the grid's span, sorted.
+
+    fn is evaluated once on the whole grid; a node where it is exactly zero is
+    a root, and each sign change between neighbouring finite values is refined
+    by brentq.
+    """
+    v = np.asarray(fn(grid), dtype=float)
+    ok = np.isfinite(v)
+    roots = [float(s) for s in grid[ok & (v == 0.0)]]
+    for i in np.nonzero(ok[:-1] & ok[1:] & (v[:-1] * v[1:] < 0.0))[0]:
+        roots.append(optimize.brentq(lambda s: float(fn(s)), grid[i], grid[i + 1], xtol=1e-12))
+    return sorted(roots)
+
+
+def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) -> tuple[float, bool]:
+    """E_theta[exp(log_h(X)) 1(|g(X)| > t)], and whether an exponent passed 690.
+
+    The crossings of |g| = t are sought within distance span of theta.  The
+    binary support is summed exactly; 1-d supports are integrated whole by
+    integrate_support, split at the crossings and the given breaks (the
+    points where g or h may kink).  A planar support is integrated in polar
+    coordinates about theta: along each of 64 rays of length span (at most
+    60) the crossings split the ray, each active segment gets panelwise
+    Gauss-Legendre, and the trapezoid rule over the angle converges
+    geometrically for the smooth periodic remainder.  Where the exponent
+    log_h + log f passes 690, exp would pass 1e300: the exponent is clipped
+    there and the flag is set, and a quadrature that then fails to converge
+    reports inf instead of raising.
+    """
+    over = False
+
+    def integrand(x):
+        nonlocal over
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):  # log_h is -inf where h vanishes
+            e = np.where(np.abs(g(x)) > t, log_h(x) + fam.log_density(x, theta), -np.inf)
+        if np.any(e > 690.0):
+            over = True
+            e = np.minimum(e, 690.0)
+        return np.exp(e)
+
+    if fam.support.kind == "real2":
+        # planar families are unit-scale (see integrate_support): past radius
+        # 60 the density is below e^-1800, so longer rays would only add cost
+        reach = min(span, 60.0)
+        nodes, wts = np.polynomial.legendre.leggauss(24)
+        radii = np.linspace(0.0, reach, _SCAN_NODES)
+        points, weights = [], []
+        for j in range(_RAYS):
+            ang = 2.0 * math.pi * j / _RAYS
+            direction = np.array([math.cos(ang), math.sin(ang)])
+
+            def ray(r, direction=direction):
+                return theta + np.multiply.outer(r, direction)
+
+            edges = [0.0] + _crossings(lambda r: np.abs(g(ray(r))) - t, radii) + [reach]
+            for a, b in zip(edges[:-1], edges[1:]):
+                if b - a < 1e-12 or abs(g(ray(0.5 * (a + b)))) <= t:
+                    continue
+                # panels of width <= 1 keep Gauss-Legendre resolved against the
+                # unit-scale decay of the density
+                panel_edges = np.linspace(a, b, max(1, math.ceil(b - a)) + 1)
+                half = 0.5 * np.diff(panel_edges)[:, None]
+                r = (half * nodes + (panel_edges[:-1, None] + half)).ravel()
+                points.append(ray(r))
+                weights.append((half * wts).ravel() * r)
+        if not points:
+            return 0.0, False
+        val = float(integrand(np.concatenate(points)) @ np.concatenate(weights))
+        return val * (2.0 * math.pi / _RAYS), over
+
+    breaks = list(breaks)
+    if fam.support.kind != "binary":
+        center = float(theta[0])
+        lo = 0.0 if fam.support.kind == "halfline" else center - span
+        grid = np.linspace(lo, center + span, _SCAN_NODES)
+        breaks += _crossings(lambda x: np.abs(g(x)) - t, grid)
+    try:
+        return integrate_support(fam, integrand, breaks), over
+    except QuadratureError:
+        if not over:
+            raise
+        return math.inf, True
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +377,23 @@ def check_moment_b(
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         if np.linalg.norm(tau) >= c1 * u_n:
             raise GridError(f"|tau| = {np.linalg.norm(tau):.4g} not below C1 u_n = {c1 * u_n:.4g}")
+        # |log LR| grows about like |tau| |x - theta|, so it crosses eps near eps/|tau|
+        span = 2.0 * eps / max(float(np.linalg.norm(tau)), 1e-8) + 60.0
         for dth in neigh:
             theta = theta0 + dth
             if not (
                 fam.theta_domain.contains(theta) and fam.theta_domain.contains(theta + tau)
             ):
                 continue
-            val, ovf = _truncated_lr_moment(fam, theta, tau, eps, gamma_n)
+            t1 = theta + tau
+
+            def log_lr(x, theta=theta, t1=t1):
+                return fam.log_density(x, t1) - fam.log_density(x, theta)
+
+            val, ovf = _truncated_moment(
+                fam, theta, lambda x: gamma_n * log_lr(x), log_lr, eps, span,
+                [float(theta[0]), float(t1[0])],
+            )
             overflow = overflow or ovf
             witnesses.append(Witness({"theta": theta, "tau": tau}, float(val), bound))
             if val > worst:
@@ -315,81 +414,6 @@ def check_moment_b(
     }
     keep = witnesses if len(witnesses) <= 16 else witnesses[:: max(1, len(witnesses) // 16)]
     return ConditionReport("B", verdict, params, keep)
-
-
-def _truncated_lr_moment(fam, theta, tau, eps, gamma_n) -> tuple[float, bool]:
-    t1 = theta + tau
-
-    def delta(x):
-        xa = np.asarray(x, dtype=float)
-        return fam.log_density(xa, t1) - fam.log_density(xa, theta)
-
-    if np.allclose(tau, 0.0):
-        return 0.0, False
-
-    if fam.support.kind == "binary":
-        total = 0.0
-        ovf = False
-        for x in (0.0, 1.0):
-            d = float(delta(np.array(x)))
-            if abs(d) > eps:
-                term = math.exp(gamma_n * d + float(fam.log_density(np.array(x), theta)))
-                if term > 1e300:
-                    ovf = True
-                total += term
-        return total, ovf
-
-    # Continuous scalar support: find where |log LR| crosses eps, integrate the
-    # pieces whose interior satisfies the indicator.
-    tau_n = float(np.linalg.norm(np.atleast_1d(tau)))
-    span = 2.0 * eps / max(tau_n, 1e-8) + 60.0
-    center = float(theta[0])
-    lo = 0.0 if fam.support.kind == "halfline" else center - span
-    hi = center + span
-    cross = sorted(
-        set(
-            _crossings(lambda x: float(delta(np.array(x))) - eps, lo, hi)
-            + _crossings(lambda x: float(delta(np.array(x))) + eps, lo, hi)
-        )
-    )
-    edges = [(-math.inf if fam.support.kind == "real" else 0.0)] + cross + [math.inf]
-
-    from scipy import integrate as _si
-
-    total = 0.0
-    ovf = False
-
-    def integrand(x):
-        nonlocal ovf
-        d = float(delta(np.array(x)))
-        if abs(d) <= eps:
-            return 0.0
-        v = gamma_n * d + float(fam.log_density(np.array(x), theta))
-        if v > 690.0:  # exp would exceed ~1e300
-            ovf = True
-            return 1e300
-        return math.exp(v)
-
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = _segment_midpoint(a, b, lo, hi)
-        if abs(float(delta(np.array(mid)))) <= eps:
-            continue
-        val, err = _si.quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-        if not np.isfinite(val):
-            ovf = True
-            continue
-        total += val
-    return total, ovf
-
-
-def _segment_midpoint(a, b, lo, hi):
-    if math.isinf(a) and math.isinf(b):
-        return 0.5 * (lo + hi)
-    if math.isinf(a):
-        return b - 1.0
-    if math.isinf(b):
-        return a + 1.0
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +531,12 @@ def check_c(
     e1[0] = 1.0
     fisher = fisher_information(fam, theta0)
 
+    def phi_norm(x):
+        return np.linalg.norm(fam.score_phi(x, theta0), axis=-1)
+
+    def log_phi2(x):
+        return 2.0 * np.log(phi_norm(x))
+
     # omega_hat along the first axis direction
     omega = np.empty(u.size)
     c2_diff = np.empty(u.size)
@@ -527,7 +557,10 @@ def check_c(
         omega[k] = expect(fam, theta0, resid2, breaks=breaks) / uk**2
         eg2 = expect(fam, theta0, g2, breaks=breaks)
         c2_diff[k] = abs(eg2 - float(tau @ fisher.matrix @ tau) / 4.0)
-        trunc2[k] = _truncated_phi_second_moment(fam, theta0, eps / uk)
+        thr = eps / uk
+        trunc2[k], _ = _truncated_moment(
+            fam, theta0, log_phi2, phi_norm, thr, 14.0 + 8.0 * (thr + 1.0), [float(theta0[0])]
+        )
 
     pos = omega > 0
     slope_c1 = _loglog_slope(u[pos], omega[pos]) if np.count_nonzero(pos) >= 2 else math.inf
@@ -568,82 +601,6 @@ def check_c(
         },
         witnesses=witnesses,
     )
-
-
-def _truncated_phi_second_moment(fam, theta0, threshold: float) -> float:
-    def h(x):
-        p = fam.score_phi(x, theta0)
-        sq = np.sum(p * p, axis=-1)
-        return np.where(np.sqrt(sq) > threshold, sq, 0.0)
-
-    if fam.support.kind == "binary":
-        return expect(fam, theta0, h)
-    if fam.support.kind == "real2":
-        return _truncated_phi2_polar(fam, theta0, threshold)
-    # Breakpoints where |phi| crosses the threshold keep the integrand piecewise smooth.
-    center = float(theta0[0])
-    lo = 0.0 if fam.support.kind == "halfline" else center - 8.0 * (threshold + 1.0)
-    hi = center + 8.0 * (threshold + 1.0)
-
-    def norm_minus_thr(x):
-        return float(np.linalg.norm(fam.score_phi(np.asarray(x, dtype=float), theta0))) - threshold
-
-    breaks = _crossings(norm_minus_thr, lo, hi, n=2001)
-    return expect(fam, theta0, h, breaks=breaks)
-
-
-def _truncated_phi2_polar(fam, theta0, threshold: float) -> float:
-    """E[|phi|^2 1(|phi| > thr)] on a planar support, in polar coordinates.
-
-    The indicator is discontinuous across the curve |phi| = thr, which defeats
-    a tensor rule.  Along each ray from theta0 the crossing radii are located
-    by scan plus bisection and the active segments get panelwise
-    Gauss-Legendre; the trapezoid rule over the angle converges geometrically
-    for the smooth periodic remainder.
-    """
-    center = theta0
-    nodes, wts = np.polynomial.legendre.leggauss(24)
-    scan_hi = 14.0 + 8.0 * (threshold + 1.0)
-    rgrid = np.linspace(0.0, scan_hi, 2001)
-    n_ang = 64
-    total = 0.0
-    for j in range(n_ang):
-        ang = 2.0 * math.pi * j / n_ang
-        direction = np.array([math.cos(ang), math.sin(ang)])
-
-        def radial_excess(r, direction=direction):
-            p = fam.score_phi(center + r * direction, center)
-            return float(np.linalg.norm(p)) - threshold
-
-        p = fam.score_phi(center[None, :] + rgrid[:, None] * direction[None, :], center)
-        excess = np.sqrt(np.sum(p**2, axis=-1)) - threshold
-        finite = np.isfinite(excess[:-1]) & np.isfinite(excess[1:])
-        idx = np.nonzero(finite & (excess[:-1] * excess[1:] < 0))[0]
-        cross = [
-            float(optimize.brentq(radial_excess, rgrid[i], rgrid[i + 1], xtol=1e-12))
-            for i in idx
-        ]
-        edges = [0.0] + cross + [scan_hi]
-        rs, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b - a < 1e-12 or radial_excess(0.5 * (a + b)) <= 0.0:
-                continue
-            # panels of width <= 1 keep Gauss-Legendre resolved against the
-            # unit-scale decay of the density
-            panel_edges = np.linspace(a, b, max(1, int(math.ceil(b - a))) + 1)
-            for pa, pb in zip(panel_edges[:-1], panel_edges[1:]):
-                rs.append(0.5 * (pb - pa) * nodes + 0.5 * (pa + pb))
-                ws.append(0.5 * (pb - pa) * wts)
-        if not rs:
-            continue
-        r = np.concatenate(rs)
-        w = np.concatenate(ws)
-        x = center[None, :] + r[:, None] * direction[None, :]
-        pv = fam.score_phi(x, center)
-        sq = np.sum(pv * pv, axis=-1)
-        dens = np.exp(fam.log_density(x, center))
-        total += float((sq * dens * r) @ w)
-    return total * (2.0 * math.pi / n_ang)
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

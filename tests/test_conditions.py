@@ -94,6 +94,65 @@ def test_moment_b_gaussian_small():
     assert 0.0 < rep.parameters["max_value"] < 1e-4
 
 
+def _lr_moment_closed_form(family, theta, tau, eps, gamma):
+    """E_theta[e^{gamma L} 1(|L| > eps)] for L = log f_{theta+tau}/f_theta."""
+    s = float(np.linalg.norm(tau))
+    if family in ("gaussian", "gaussian2"):
+        # L ~ N(-s^2/2, s^2); the tilt e^{gamma L} moves its mean to -s^2/2 + gamma s^2
+        mean = -s * s / 2.0 + gamma * s * s
+        mgf = math.exp(gamma * (-s * s / 2.0) + gamma * gamma * s * s / 2.0)
+        return mgf * (sps.norm.sf((eps - mean) / s) + sps.norm.cdf((-eps - mean) / s))
+    t0, t1 = float(theta[0]), float(theta[0] + tau[0])
+    if family == "bernoulli":
+        atoms = ((t0, t1), (1.0 - t0, 1.0 - t1))
+        return sum(p0 * (p1 / p0) ** gamma for p0, p1 in atoms if abs(math.log(p1 / p0)) > eps)
+    if family == "exponential":
+        # L(x) = log(t1/t0) - (t1 - t0) x is monotone in x: |L| > eps on x < x_lo and
+        # x > x_hi for the two roots of |L| = eps, and the integrand is t0 e^{gamma c - k x}
+        c, slope = math.log(t1 / t0), t1 - t0
+        x_lo, x_hi = sorted(((c - eps) / slope, (c + eps) / slope))
+        k = t0 + gamma * slope
+        left = (1.0 - math.exp(-k * x_lo)) / k if x_lo > 0.0 else 0.0
+        right = math.exp(-k * max(x_hi, 0.0)) / k
+        return t0 * math.exp(gamma * c) * (left + right)
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize(
+    "family, theta0, u_n, eps",
+    [
+        ("gaussian", [0.0], 0.1, 0.5),
+        ("gaussian2", [0.0, 0.0], 0.1, 0.5),
+        ("exponential", [1.0], 0.1, 0.5),
+        ("bernoulli", [0.5], 0.1, 0.1),  # small eps: some atoms pass the threshold
+    ],
+)
+def test_moment_b_matches_closed_form(family, theta0, u_n, eps):
+    fam = get_family(family)
+    axes = np.eye(fam.d)
+    taus = [s * m * u_n * e for m in (0.5, 1.0, 1.5) for s in (1, -1) for e in axes]
+    rep = check_moment_b(fam, theta0, u_n, eps, 1.5, taus)
+    assert rep.verdict == "pass"
+    assert rep.parameters["max_value"] > 1e-7
+    for w in rep.witnesses:
+        want = _lr_moment_closed_form(family, w.input["theta"], w.input["tau"], eps, 1.5)
+        assert w.value == pytest.approx(want, rel=1e-6, abs=1e-8), w.input
+
+
+def test_moment_b_laplace_vanishes_when_tau_below_eps():
+    # the Laplace log ratio is bounded by |tau|, so no x passes eps >= |tau|
+    rep = check_moment_b(get_family("laplace"), 0.0, 0.1, 0.5, 1.5, [0.05, 0.1, -0.15])
+    assert rep.verdict == "pass"
+    assert [w.value for w in rep.witnesses] == [0.0] * 9
+
+
+def test_moment_b_overflow_guard_makes_verdict_inconclusive():
+    # gamma = 400: the tilted integrand passes e^690 and diverges for tau < 0
+    rep = check_moment_b(get_family("exponential"), [1.0], 0.5, 0.5, 400.0, [0.9, -0.9])
+    assert rep.verdict == "inconclusive"
+    assert rep.parameters["overflow_guard"] is True
+
+
 def test_moment_b_validation():
     with pytest.raises(GridError):
         check_moment_b(GAUSS, 0.0, 0.1, -1.0, 1.5, [0.1])
@@ -135,6 +194,36 @@ def test_c_gaussian_exponents_and_truncated_moment():
     )
     want = 0.5 * (5.0 * sps.norm.pdf(5.0) + sps.norm.sf(5.0))
     assert w.value == pytest.approx(want, rel=1e-10)
+
+
+def _truncated_phi2(witnesses):
+    return [w.value for w in witnesses if w.input.get("quantity") == "truncated_phi2"]
+
+
+def test_c_truncated_moment_keeps_a_root_on_a_scan_node():
+    # at u = 0.25, eps/u = 11 puts the crossing |phi| = 11 at |x| = 22, a node
+    # of the scan grid: E[phi^2 1(|phi| > t)] = (a pdf(a) + sf(a)) / 2 at a = 2t
+    rep = check_c(GAUSS, 0.0, (0.3, 0.25, 0.2), 1.0, 1.0, eps=2.75)
+    for u, got in zip((0.3, 0.25, 0.2), _truncated_phi2(rep.witnesses)):
+        a = 2.0 * 2.75 / u
+        assert got == pytest.approx(0.5 * (a * sps.norm.pdf(a) + sps.norm.sf(a)), rel=1e-6)
+
+
+def test_c_planar_truncated_moment_matches_chi2_tail():
+    # |phi|^2 = R^2/4 with R^2 ~ chi2_2: E[|phi|^2 1(R > a)] = (a^2/2 + 1) e^{-a^2/2} / 2;
+    # at u = 0.25 the crossing R = 22 was lost as a node of the old radial scan
+    rep = check_c(get_family("gaussian2"), [0.0, 0.0], (0.5, 0.25, 0.125), 1.0, 1.0, eps=2.75)
+    for u, got in zip((0.5, 0.25, 0.125), _truncated_phi2(rep.witnesses)):
+        a = 2.0 * 2.75 / u
+        assert got == pytest.approx(0.5 * (a * a / 2.0 + 1.0) * math.exp(-a * a / 2.0), rel=1e-6)
+
+
+def test_crossings_count_a_root_on_a_node():
+    from modev.conditions import _crossings
+
+    grid = np.linspace(0.0, 2.0, 5)
+    assert _crossings(lambda s: s - 1.0, grid) == [1.0]  # on the node 1.0
+    assert _crossings(lambda s: s - 1.25, grid) == [pytest.approx(1.25, abs=1e-12)]
 
 
 def test_c_planar_gaussian_exponents():
