@@ -17,7 +17,12 @@ B and C1b share one truncated-moment integrator, _truncated_moment: the
 crossings of |g| = t come from one array scan (a root on a scan node
 counts), 1-d supports are integrated whole with the crossings as breaks,
 where a piece that does not converge raises QuadratureError, and planar
-supports along polar rays.
+supports along polar rays, all rays scanned as one (ray, radius) array.
+
+A0 scans its (theta, tau) pairs as arrays: planar families on a tensor
+Gauss-Legendre rule, 1-d continuous families on a fixed panelled
+Gauss-Legendre rule split at theta and theta + tau, whose two orders must
+agree; a pair where they do not goes to adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -101,14 +106,14 @@ _SCAN_NODES = 4001
 _RAYS = 64
 
 
-def _crossings(fn: Callable, grid: np.ndarray) -> list[float]:
+def _crossings(fn: Callable, grid: np.ndarray, values=None) -> list[float]:
     """Roots of the vectorized fn over the grid's span, sorted.
 
-    fn is evaluated once on the whole grid; a node where it is exactly zero is
-    a root, and each sign change between neighbouring finite values is refined
-    by brentq.
+    fn is evaluated once on the whole grid, unless its values there are
+    given; a node where it is exactly zero is a root, and each sign change
+    between neighbouring finite values is refined by brentq.
     """
-    v = np.asarray(fn(grid), dtype=float)
+    v = np.asarray(fn(grid) if values is None else values, dtype=float)
     ok = np.isfinite(v)
     roots = [float(s) for s in grid[ok & (v == 0.0)]]
     for i in np.nonzero(ok[:-1] & ok[1:] & (v[:-1] * v[1:] < 0.0))[0]:
@@ -126,7 +131,9 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
     coordinates about theta: along each of 64 rays of length span (at most
     60) the crossings split the ray, each active segment gets panelwise
     Gauss-Legendre, and the trapezoid rule over the angle converges
-    geometrically for the smooth periodic remainder.  Where the exponent
+    geometrically for the smooth periodic remainder.  |g| - t is evaluated
+    on all rays' scan nodes as one array, so each ray's crossing search sees
+    the values a scan of that ray alone would.  Where the exponent
     log_h + log f passes 690, exp would pass 1e300: the exponent is clipped
     there and the flag is set, and a quadrature that then fails to converge
     reports inf instead of raising.
@@ -149,15 +156,21 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
         reach = min(span, 60.0)
         nodes, wts = np.polynomial.legendre.leggauss(24)
         radii = np.linspace(0.0, reach, _SCAN_NODES)
+        angles = [2.0 * math.pi * j / _RAYS for j in range(_RAYS)]
+        directions = np.array([[math.cos(a), math.sin(a)] for a in angles])
+        # |g| - t on every (ray, radius) node at once; row j is what a scan of
+        # ray j alone would see.  The nodes are laid out coordinate-major, so
+        # the elementwise passes run along the radii
+        nodes_xy = theta[:, None, None] + directions.T[:, :, None] * radii
+        scan = np.abs(g(np.moveaxis(nodes_xy, 0, -1))) - t
         points, weights = [], []
-        for j in range(_RAYS):
-            ang = 2.0 * math.pi * j / _RAYS
-            direction = np.array([math.cos(ang), math.sin(ang)])
+        for direction, values in zip(directions, scan):
 
             def ray(r, direction=direction):
                 return theta + np.multiply.outer(r, direction)
 
-            edges = [0.0] + _crossings(lambda r: np.abs(g(ray(r))) - t, radii) + [reach]
+            roots = _crossings(lambda r: np.abs(g(ray(r))) - t, radii, values)
+            edges = [0.0] + roots + [reach]
             for a, b in zip(edges[:-1], edges[1:]):
                 if b - a < 1e-12 or abs(g(ray(0.5 * (a + b)))) <= t:
                     continue
@@ -277,7 +290,8 @@ def _a0_scan_real2(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
         feas = thetas[ok]
         for lo in range(0, feas.shape[0], 256):
             block = feas[lo : lo + 256]
-            x = block[:, None, :] + mesh[None, :, :]
+            # built coordinate-major, so each coordinate's pass runs along the mesh
+            x = np.moveaxis(block.T[:, :, None] + mesh.T[:, None, :], 0, -1)
             la = fam.log_density(x, block[:, None, :])
             lb = fam.log_density(x, block[:, None, :] + tau[None, None, :])
             h2 = 2.0 * (1.0 - np.exp(0.5 * (la + lb)) @ wmesh)
@@ -287,8 +301,97 @@ def _a0_scan_real2(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
     return best, best_at
 
 
+# The 1-d A0 rule: between the breaks theta and theta + tau, panels no wider
+# than _A0_STEP; beyond them on each side, _A0_RINGS panels that double in
+# width, reaching _A0_STEP (2^_A0_RINGS - 1) ~ 2000 past the breaks
+_A0_STEP = 0.5
+_A0_RINGS = 12
+_A0_ORDERS = (24, 32)
+_A0_AGREE = 1e-13  # largest gap between the two orders that is accepted
+_A0_TAIL = 1e-20  # largest integrand accepted at an open end of the window
+_A0_PAIRS = 128  # pairs integrated at once
+
+
+def _a0_rule_1d(fam: ParametricFamily, theta: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """Affinities of the pairs (theta[i], shifted[i]) on a 1-d continuous support.
+
+    Each pair is integrated on its own panels at both orders of _A0_ORDERS.
+    The result is NaN, not trusted, where the orders differ by more than
+    _A0_AGREE or where the integrand at an open end of the window exceeds
+    _A0_TAIL.
+    """
+    a = np.minimum(theta, shifted)
+    b = np.maximum(theta, shifted)
+    inner = max(1, math.ceil(float(np.max(b - a)) / _A0_STEP))
+    ring = _A0_STEP * (2.0 ** np.arange(1, _A0_RINGS + 1) - 1.0)
+    edges = np.concatenate(
+        [
+            a[:, None] - ring[::-1],
+            a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, inner + 1),
+            b[:, None] + ring,
+        ],
+        axis=1,
+    )
+    if fam.support.kind == "halfline":
+        edges = np.maximum(edges, 0.0)  # panels left of 0 collapse to width 0
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = edges[:, :-1] + half
+    t0, t1 = theta[:, None, None, None], shifted[:, None, None, None]
+
+    def root_product(x):
+        return np.exp(0.5 * (fam.log_density(x, t0) + fam.log_density(x, t1)))
+
+    vals = []
+    for order in _A0_ORDERS:
+        nodes, wts = np.polynomial.legendre.leggauss(order)
+        x = mid[:, :, None] + half[:, :, None] * nodes
+        vals.append(np.sum((root_product(x) @ wts) * half, axis=1))
+    ends = root_product(edges[:, None, [0, -1]])[:, 0, :]
+    if fam.support.kind == "halfline":
+        ends = ends[:, 1:]  # 0 is the end of the support, not of the window
+    ok = (np.abs(vals[1] - vals[0]) <= _A0_AGREE) & np.all(ends <= _A0_TAIL, axis=1)
+    return np.where(ok, vals[1], np.nan)
+
+
+def _a0_scan_1d(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
+    """H^2 over every feasible (theta, tau) pair of a 1-d family, first
+    minimum in (theta, tau) order.
+
+    Continuous supports go through _a0_rule_1d, a block of pairs at a time;
+    a pair it does not trust, and every pair of the binary support (an exact
+    two-point sum), goes to hellinger_affinity.
+    """
+    pairs = [
+        (theta, tau)
+        for theta in thetas
+        for tau in taus
+        if fam.theta_domain.contains(theta + tau, margin=0.0)
+    ]
+    if not pairs:
+        return math.inf, None
+    aff = np.full(len(pairs), np.nan)
+    if fam.support.kind != "binary":
+        theta = np.array([p[0][0] for p in pairs])
+        shifted = theta + np.array([p[1][0] for p in pairs])
+        for lo in range(0, len(pairs), _A0_PAIRS):
+            sl = slice(lo, lo + _A0_PAIRS)
+            aff[sl] = np.minimum(_a0_rule_1d(fam, theta[sl], shifted[sl]), 1.0)
+    for i in np.nonzero(np.isnan(aff))[0]:
+        aff[i] = hellinger_affinity(fam, *pairs[i])
+    h2 = 2.0 * (1.0 - aff)
+    i = int(np.argmin(h2))
+    return float(h2[i]), (pairs[i][0].copy(), pairs[i][1].copy())
+
+
 def check_a0(fam: ParametricFamily, compact: Box, delta: float) -> ConditionReport:
-    """inf of H^2(theta, theta+tau) over theta in the compact, |tau| >= delta."""
+    """inf of H^2(theta, theta+tau) over theta in the compact, |tau| >= delta.
+
+    The (theta, tau) pairs are scanned as arrays: planar families on a tensor
+    Gauss-Legendre rule (_a0_scan_real2), 1-d continuous families on a
+    panelled Gauss-Legendre rule checked against a second order, with
+    hellinger_affinity's adaptive quadrature for any pair the rule does not
+    trust (_a0_scan_1d).
+    """
     if delta <= 0:
         raise GridError("delta must be positive")
     diam = float(np.linalg.norm(fam.theta_domain.width()))
@@ -319,18 +422,8 @@ def check_a0(fam: ParametricFamily, compact: Box, delta: float) -> ConditionRepo
 
     clipped = np.stack([fam.theta_domain.clip_interior(t, margin) for t in thetas])
     taus = [delta * f * e for e in directions for f in mag_factors]
-    if fam.support.kind == "real2":
-        best, best_at = _a0_scan_real2(fam, clipped, taus)
-    else:
-        best = math.inf
-        best_at = None
-        for theta in clipped:
-            for tau in taus:
-                if not fam.theta_domain.contains(theta + tau, margin=0.0):
-                    continue
-                h2 = 2.0 * (1.0 - hellinger_affinity(fam, theta, tau))
-                if h2 < best:
-                    best, best_at = h2, (theta.copy(), tau.copy())
+    scan = _a0_scan_real2 if fam.support.kind == "real2" else _a0_scan_1d
+    best, best_at = scan(fam, clipped, taus)
     if best_at is None:
         raise GridError("no feasible (theta, tau) pair: delta too large for the compact")
 
@@ -545,17 +638,21 @@ def check_c(
         tau = uk * e1
         t1 = theta0 + tau
 
+        # (g - phi'tau)^2 f_theta0 and g^2 f_theta0 with the density's root
+        # inside the square: exp((l1 - l0)/2) alone overflows in the far tail
+        # where f_theta0 underflows, and inf * 0 would poison the quadrature
         def resid2(x, t1=t1, tau=tau):
-            g = np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
-            return (g - fam.score_phi(x, theta0) @ tau) ** 2
+            root0 = np.exp(0.5 * fam.log_density(x, theta0))
+            r = np.exp(0.5 * fam.log_density(x, t1)) - root0 * (1.0 + fam.score_phi(x, theta0) @ tau)
+            return r * r
 
         def g2(x, t1=t1):
-            g = np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
-            return g * g
+            r = np.exp(0.5 * fam.log_density(x, t1)) - np.exp(0.5 * fam.log_density(x, theta0))
+            return r * r
 
-        breaks = [float(t1[0])] if fam.obs_dim == 1 else [t1]
-        omega[k] = expect(fam, theta0, resid2, breaks=breaks) / uk**2
-        eg2 = expect(fam, theta0, g2, breaks=breaks)
+        breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [t1, theta0]
+        omega[k] = integrate_support(fam, resid2, breaks) / uk**2
+        eg2 = integrate_support(fam, g2, breaks)
         c2_diff[k] = abs(eg2 - float(tau @ fisher.matrix @ tau) / 4.0)
         thr = eps / uk
         trunc2[k], _ = _truncated_moment(

@@ -173,11 +173,18 @@ class ConditionsConfig:
     c_eps: float = 0.5
     d_m: float = 3.0
     e_eps: float = 1e6
-    e_beta1: float = 2.0
-    e_beta2: float = 2.0
+    # None resolves to the family's dimension plus one, the smallest integer
+    # exponent check E accepts
+    e_beta1: Optional[float] = None
+    e_beta2: Optional[float] = None
     e_pairs: tuple = ((0.0, 0.1), (0.0, 0.05), (0.05, 0.1), (0.0, 0.2))
     loss_p: float = 2.0
     bound: float = 1e6
+
+    def __post_init__(self):
+        for name in ("e_beta1", "e_beta2"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, float(family_from_config(self.family).d + 1))
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,11 @@ class GaussianLocation2(ParametricFamily):
     support: Support = field(default_factory=lambda: Support("real2"))
 
     def log_density(self, x, theta):
+        # adding the two squared columns rounds as a sum over the last axis
+        # does, at a fraction of a length-2 reduction's cost
         x = np.asarray(x, dtype=float)
-        return -_LOG_2PI - 0.5 * np.sum((x - theta) ** 2, axis=-1)
+        sq = np.square(x[..., 0] - theta[..., 0]) + np.square(x[..., 1] - theta[..., 1])
+        return -_LOG_2PI - 0.5 * sq
 
     def score_phi(self, x, theta):
         return (np.asarray(x, dtype=float) - theta) / 2.0

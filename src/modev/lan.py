@@ -26,6 +26,9 @@ import numpy as np
 from .errors import DomainError, GridError
 from .families import FisherInfo, ParametricFamily, SampleBatch, fisher_information, phi_matrix
 
+# observation-by-grid-point log densities held at once by sup_lan_residual
+_SUP_BLOCK_VALUES = 2**18
+
 ZETA_SIGN_NOTE = "zeta_n(u) = 2 u'S_eps - n u'Iu/2 (quadratic term negative)"
 
 
@@ -168,7 +171,9 @@ def sup_lan_residual(
     """max |sum_xi(u) - zeta_n(u)| over the grid of u with |u| < C u_n.
 
     The supremum is a deterministic grid maximum; grid_step must not exceed
-    u_n / 20.
+    u_n / 20.  The log density is evaluated for a block of grid points at a
+    time, as one (block, n) array of at most _SUP_BLOCK_VALUES values, and
+    each row is summed as a lone grid point's sample would be.
     """
     if grid_step > u_n / 20.0 + 1e-15:
         raise GridError(f"grid_step {grid_step} exceeds u_n/20 = {u_n / 20.0}")
@@ -182,15 +187,20 @@ def sup_lan_residual(
     b = np.atleast_1d(np.asarray(b, dtype=float))
     s_eps = _sum_phi_eps(fam, sample, theta0, policy)
     base = theta0 + u_n * b
+    shifted = base + grid
+    dom = fam.theta_domain
+    inside = np.all((shifted > dom.lo) & (shifted < dom.hi), axis=1)
+    if not inside.all():
+        bad = shifted[int(np.argmin(inside))]
+        raise DomainError(f"grid point {bad.tolist()} outside domain")
     obs = sample.observations
     lf_base = np.sum(fam.log_density(obs, base))
+    block = max(1, _SUP_BLOCK_VALUES // obs.size)
     worst = 0.0
-    for u in grid:
-        shifted = base + u
-        if not fam.theta_domain.contains(shifted):
-            raise DomainError(f"grid point {shifted.tolist()} outside domain")
-        s_xi = float(np.sum(fam.log_density(obs, shifted)) - lf_base)
-        worst = max(worst, abs(s_xi - _zeta(u, s_eps, sample.n, fisher.matrix)))
+    for lo in range(0, grid.shape[0], block):
+        s_xi = np.sum(fam.log_density(obs, shifted[lo : lo + block, None, :]), axis=-1) - lf_base
+        for u, s in zip(grid[lo : lo + block], s_xi):
+            worst = max(worst, abs(float(s) - _zeta(u, s_eps, sample.n, fisher.matrix)))
     return worst
 
 

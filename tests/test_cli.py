@@ -296,13 +296,31 @@ def test_rejects_coarse_lan_grid(tmp_path):
 
 
 def test_condition_exponents_checked_against_dimension_before_any_check(tmp_path):
-    # the default beta1 = beta2 = 2 of check E do not exceed d = 2
+    # beta1 = beta2 = 2 of check E do not exceed d = 2
     rc, out = run(
         tmp_path, "check-conditions",
-        {"family": "gaussian2", "theta0": [0.0, 0.0], "checks": ["dqm", "e"]},
+        {"family": "gaussian2", "theta0": [0.0, 0.0], "checks": ["dqm", "e"],
+         "e_beta1": 2.0, "e_beta2": 2.0},
     )
     assert rc == 2
     assert not (out / "conditions.json").exists()
+
+
+def test_default_e_exponents_follow_the_dimension(tmp_path):
+    # beta1 and beta2 default to d + 1: 3 on the plane, 2 on the line
+    rc, out = run(
+        tmp_path, "check-conditions",
+        {"family": "gaussian2", "theta0": [0.0, 0.0], "checks": ["e"]},
+    )
+    assert rc == 0
+    (report,) = json.loads((out / "conditions.json").read_text(encoding="utf-8"))
+    assert report["condition"] == "E"
+    assert report["parameters"]["beta1"] == report["parameters"]["beta2"] == 3.0
+    assert read_manifest(out)["config"]["e_beta1"] == 3.0
+    assert load_config(str(out / "manifest.json"), "check-conditions").e_beta2 == 3.0
+    rc, out = run(tmp_path, "check-conditions", {"family": "gaussian", "checks": ["e"]}, out="o1")
+    assert rc == 0
+    assert read_manifest(out)["config"]["e_beta1"] == 2.0
 
 
 def test_unsupported_bayes_loss_rejected_before_any_draw(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Regularity checks against independently derived values."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from modev import (
     check_moment_b,
     get_family,
 )
+from modev import conditions
+from modev.families import GaussianLocation, LaplaceLocation, hellinger_affinity
 
 GAUSS = get_family("gaussian")
 
@@ -56,6 +59,82 @@ def test_a0_grid_validation():
         check_a0(GAUSS, compact, 100.0)  # exceeds the domain diameter
     with pytest.raises(GridError):
         check_a0(GAUSS, Box(np.array([-20.0]), np.array([2.0])), 0.5)
+
+
+def _recorded_rule_pairs(monkeypatch, fam, compact, delta):
+    """Run check_a0 and return its report with every (theta, shifted,
+    affinity) triple the 1-d rule produced."""
+    seen = []
+    rule = conditions._a0_rule_1d
+
+    def recording(fam, theta, shifted):
+        aff = rule(fam, theta, shifted)
+        seen.extend(zip(theta, shifted, aff))
+        return aff
+
+    monkeypatch.setattr(conditions, "_a0_rule_1d", recording)
+    return check_a0(fam, compact, delta), seen
+
+
+@pytest.mark.parametrize(
+    "family, lo, hi",
+    [
+        ("gaussian", -2.0, 2.0),
+        ("laplace", -2.0, 2.0),  # kinks at theta and theta + tau
+        ("exponential", 0.1, 3.0),  # scale 1/theta reaches 10 at theta = 0.1
+    ],
+)
+def test_a0_rule_matches_adaptive_quadrature(monkeypatch, family, lo, hi):
+    fam = get_family(family)
+    rep, seen = _recorded_rule_pairs(monkeypatch, fam, Box(np.array([lo]), np.array([hi])), 0.5)
+    assert len(seen) > 300
+    assert min(theta for theta, _, _ in seen) < lo + 1e-8
+    for theta, shifted, aff in seen:
+        want = hellinger_affinity(fam, np.array([theta]), np.array([shifted - theta]))
+        assert abs(aff - want) <= 1e-12, (theta, shifted)
+    best = min(2.0 * (1.0 - min(aff, 1.0)) for _, _, aff in seen)
+    assert rep.witnesses[0].value == best
+
+
+@dataclass(frozen=True)
+class _OffsetLaplace(LaplaceLocation):
+    """Laplace(theta + 0.3, 1): its kinks fall inside the rule's panels, so
+    the rule's two orders disagree."""
+
+    name: str = "offset-laplace"
+
+    def log_density(self, x, theta):
+        return super().log_density(np.asarray(x, dtype=float) - 0.3, theta)
+
+
+@dataclass(frozen=True)
+class _CauchyLocation(GaussianLocation):
+    """Cauchy(theta, 1): its tails outlast the rule's window."""
+
+    name: str = "cauchy"
+
+    def log_density(self, x, theta):
+        return -math.log(math.pi) - np.log1p((np.asarray(x, dtype=float) - theta[..., 0]) ** 2)
+
+
+@pytest.mark.parametrize("fam", (_OffsetLaplace(), _CauchyLocation()), ids=lambda f: f.name)
+def test_a0_rule_hands_untrusted_pairs_to_adaptive_quadrature(monkeypatch, fam):
+    calls = []
+    adaptive = conditions.hellinger_affinity
+
+    def counted(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(conditions, "hellinger_affinity", counted)
+    rep, seen = _recorded_rule_pairs(monkeypatch, fam, Box(np.array([-0.5]), np.array([0.5])), 0.5)
+    assert seen and all(np.isnan(aff) for _, _, aff in seen)
+    assert len(calls) == len(seen)
+    best = min(2.0 * (1.0 - adaptive(*args)) for args in calls)
+    assert rep.witnesses[0].value == best
+    if fam.name == "offset-laplace":
+        # a location family: H^2 = 2 (1 - (1 + tau/2) e^{-tau/2}) at the smallest tau
+        assert best == pytest.approx(2.0 * (1.0 - 1.25 * math.exp(-0.25)), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +255,68 @@ def test_exp_moment_rejects_divergent_envelope():
         check_exp_moment(GAUSS, 0.0, lambda x: np.abs(x), 0.0)
 
 
+def _planar_moment_per_ray(fam, theta, log_h, g, t, span):
+    """The planar truncated moment with one _crossings scan per ray."""
+    reach = min(span, 60.0)
+    nodes, wts = np.polynomial.legendre.leggauss(24)
+    radii = np.linspace(0.0, reach, conditions._SCAN_NODES)
+    points, weights = [], []
+    for j in range(conditions._RAYS):
+        ang = 2.0 * math.pi * j / conditions._RAYS
+        direction = np.array([math.cos(ang), math.sin(ang)])
+
+        def ray(r, direction=direction):
+            return theta + np.multiply.outer(r, direction)
+
+        edges = [0.0] + conditions._crossings(lambda r: np.abs(g(ray(r))) - t, radii) + [reach]
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b - a < 1e-12 or abs(g(ray(0.5 * (a + b)))) <= t:
+                continue
+            panel_edges = np.linspace(a, b, max(1, math.ceil(b - a)) + 1)
+            half = 0.5 * np.diff(panel_edges)[:, None]
+            r = (half * nodes + (panel_edges[:-1, None] + half)).ravel()
+            points.append(ray(r))
+            weights.append((half * wts).ravel() * r)
+    x = np.concatenate(points)
+    e = np.where(np.abs(g(x)) > t, log_h(x) + fam.log_density(x, theta), -np.inf)
+    return float(np.exp(e) @ np.concatenate(weights)) * (2.0 * math.pi / conditions._RAYS)
+
+
+@pytest.mark.parametrize("theta", ([0.0, 0.0], [0.1, -0.1]))
+@pytest.mark.parametrize("tau", ([0.05, 0.0], [0.0, -0.15], [0.1, 0.1]))
+def test_planar_b_moment_equals_per_ray_scan(theta, tau):
+    fam = get_family("gaussian2")
+    theta, t1 = np.array(theta), np.add(theta, tau)
+
+    def log_lr(x):
+        return fam.log_density(x, t1) - fam.log_density(x, theta)
+
+    span = 2.0 * 0.5 / float(np.linalg.norm(tau)) + 60.0
+    got, over = conditions._truncated_moment(
+        fam, theta, lambda x: 1.5 * log_lr(x), log_lr, 0.5, span
+    )
+    assert not over
+    assert got == _planar_moment_per_ray(fam, theta, lambda x: 1.5 * log_lr(x), log_lr, 0.5, span)
+
+
+@pytest.mark.parametrize("u", (0.5, 0.3, 0.25))  # at 0.25 a crossing is a scan node
+def test_planar_c1b_moment_equals_per_ray_scan(u):
+    fam = get_family("gaussian2")
+    theta = np.zeros(2)
+
+    def phi_norm(x):
+        return np.linalg.norm(fam.score_phi(x, theta), axis=-1)
+
+    def log_phi2(x):
+        return 2.0 * np.log(phi_norm(x))
+
+    thr = 2.75 / u
+    span = 14.0 + 8.0 * (thr + 1.0)
+    got, _ = conditions._truncated_moment(fam, theta, log_phi2, phi_norm, thr, span)
+    assert got > 0.0
+    assert got == _planar_moment_per_ray(fam, theta, log_phi2, phi_norm, thr, span)
+
+
 # ---------------------------------------------------------------------------
 # C1/C2 decay
 # ---------------------------------------------------------------------------
@@ -216,6 +357,20 @@ def test_c_planar_truncated_moment_matches_chi2_tail():
     for u, got in zip((0.5, 0.25, 0.125), _truncated_phi2(rep.witnesses)):
         a = 2.0 * 2.75 / u
         assert got == pytest.approx(0.5 * (a * a / 2.0 + 1.0) * math.exp(-a * a / 2.0), rel=1e-6)
+
+
+def test_c_integrands_stay_finite_in_the_far_tail():
+    # exp((l1 - l0)/2) alone overflows where the density underflows at u = 0.5;
+    # E g^2 = 2 (1 - e^{-tau^2/8}) lies below tau' I tau / 4 = tau^2 / 4
+    u = (0.5, 0.25, 0.125)
+    rep = check_c(GAUSS, 0.0, u, 1.0, 1.0, eps=2.75)
+    diffs = [w for w in rep.witnesses if w.input.get("quantity") == "c2_diff"]
+    assert [w.input["tau"] for w in diffs] == list(u)
+    for w in diffs:
+        tau = w.input["tau"]
+        assert tau * tau / 4.0 - w.value == pytest.approx(
+            2.0 * (1.0 - math.exp(-tau * tau / 8.0)), rel=0, abs=1e-10
+        )
 
 
 def test_crossings_count_a_root_on_a_node():

@@ -24,6 +24,7 @@ from modev import (
     truncated_score,
     zeta_n,
 )
+from modev import lan
 from modev.lan import _ball_grid
 
 INACTIVE = TruncationPolicy.inactive()
@@ -143,7 +144,7 @@ def test_sup_residual_zero_for_gaussian():
 
 
 @pytest.mark.parametrize("family", ("gaussian", "laplace", "gaussian2"))
-def test_sup_residual_is_max_of_pointwise_residuals(family):
+def test_sup_residual_is_max_of_pointwise_residuals(family, monkeypatch):
     # the sup and the pointwise record share one quadratic model, so a change
     # to zeta_n shows in both
     fam = get_family(family)
@@ -154,13 +155,20 @@ def test_sup_residual_is_max_of_pointwise_residuals(family):
     policy = TruncationPolicy(eps=0.5, u_n=u_n)
     fisher = fisher_information(fam, zero)
     step = u_n / 20
+    grid = _ball_grid(fam.d, 2.0 * u_n, step)
+    if family == "gaussian2":
+        # the planar grid spans several blocks of grid points
+        assert grid.shape[0] > 4 * (lan._SUP_BLOCK_VALUES // sample.observations.size)
     sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher)
     pointwise = max(
         abs(lan_residual(fam, sample, zero, zero, u, policy, fisher=fisher).residual)
-        for u in _ball_grid(fam.d, 2.0 * u_n, step)
+        for u in grid
     )
     assert sup > 0.0
     assert sup == pytest.approx(pointwise, rel=0, abs=1e-9 * n)
+    # blocks of one grid point each sum every row alone, as a per-point loop does
+    monkeypatch.setattr(lan, "_SUP_BLOCK_VALUES", 1)
+    assert sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher) == sup
 
 
 def test_sup_residual_rejects_coarse_grids():
