@@ -63,6 +63,17 @@ for _name, _extra in (
         "family": "gaussian", "theta0": [0.0], "seed": 5, "region": HALF,
         "schedule": SCHEDULE, "budget": BUDGET, **_extra,
     }))
+# Laplace full samples at even n: the median is the mean of the two middle
+# order statistics, and the Bayes event builds a posterior grid per replication
+for _name, _extra in (
+    ("laplace-mle-even", {"event": "mle"}),
+    ("laplace-bayes", {"event": "bayes", "prior": {"kind": "flat"},
+                       "loss": {"kind": "power", "p": 2.0}}),
+):
+    RUNS.append(("ldp-curve", _name, {
+        "family": "laplace", "theta0": [0.0], "seed": 5, "region": HALF,
+        "schedule": SCHEDULE, "budget": BUDGET, **_extra,
+    }))
 # at n = 64, 256 the posterior sub-box is clipped to the parameter domain (0.01, 0.99)
 RUNS.append(("ldp-curve", "bernoulli-bayes", {
     "family": "bernoulli", "theta0": [0.5], "seed": 5, "region": HALF, "event": "bayes",

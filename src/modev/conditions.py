@@ -216,13 +216,13 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
     verdict is pass when the isotonic omega_hat at the smallest magnitude is
     below 1e-3.
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     mags = _tau_magnitudes(tau_grid)
     uniq = np.unique(np.round(mags, 12))
     if uniq.size < 3:
         raise GridError("tau grid needs at least 3 distinct magnitudes")
     if uniq.min() > 1e-3 * (1 + 1e-9) or uniq.max() / uniq.min() < 100.0 * (1 - 1e-9):
         raise GridError("tau grid must span two decades down to 1e-3")
+    theta0 = fam.validate_theta(theta0)
 
     per_mag: dict[float, float] = {}
     for tau in tau_grid:
@@ -230,12 +230,15 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
         m = float(np.linalg.norm(tau))
         t1 = theta0 + tau
 
+        # (g - phi'tau)^2 f_theta0 with the density's root inside the square,
+        # as in check_c: exp((l1 - l0)/2) alone overflows in the far tail
         def integrand(x, t1=t1, tau=tau):
-            g = np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
-            return (g - fam.score_phi(x, theta0) @ tau) ** 2
+            root0 = np.exp(0.5 * fam.log_density(x, theta0))
+            r = np.exp(0.5 * fam.log_density(x, t1)) - root0 * (1.0 + fam.score_phi(x, theta0) @ tau)
+            return r * r
 
-        breaks = [float(t1[0])] if fam.obs_dim == 1 else []
-        r = expect(fam, theta0, integrand, breaks=breaks)
+        breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [theta0]
+        r = integrate_support(fam, integrand, breaks)
         key = float(np.round(m, 12))
         per_mag[key] = max(per_mag.get(key, 0.0), r / m**2)
 

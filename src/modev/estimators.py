@@ -157,8 +157,12 @@ def mle(sample: SampleBatch, fam: ParametricFamily) -> np.ndarray:
 
     The estimate is not clipped to the open parameter box: a boundary sample
     (all ones for the Bernoulli) keeps its boundary estimate, with a warning.
+    A sample outside the family's support raises DomainError; that includes
+    NaN, which a median by selection would order like a number.
     """
     obs = np.asarray(sample.observations, dtype=float)
+    if not fam.support.check(obs):
+        raise DomainError(f"sample outside the support of {fam.name}")
     est = fam.mle_batch(obs[None])
     if est is None:
         raise DomainError(f"family {fam.name!r} has no closed-form estimator")

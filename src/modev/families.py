@@ -416,7 +416,15 @@ class LaplaceLocation(ParametricFamily):
         return rng.laplace(thetas[:, :1], 1.0, (len(thetas), n))
 
     def mle_batch(self, obs_mat):
-        return np.median(obs_mat, axis=1)[:, None]
+        # the sample median by selection, bitwise equal to np.median on finite
+        # rows (the middle element, or the mean of the two middle ones), without
+        # the extra order statistic np.median partitions out to find NaNs
+        n = obs_mat.shape[1]
+        k = n // 2
+        if n % 2:
+            return np.partition(obs_mat, k, axis=1)[:, k : k + 1]
+        part = np.partition(obs_mat, (k - 1, k), axis=1)
+        return (part[:, k - 1 : k] + part[:, k : k + 1]) / 2.0
 
 
 _FAMILIES: dict[str, Callable[[], ParametricFamily]] = {

@@ -10,7 +10,13 @@ point estimate when no hit is observed.
 
 Determinism contract: the chunk of schedule point i under master seed s whose
 first replication is r draws all its replications from one numpy
-Generator(seed=[s, i, r]), pilot chunks from [s, i, 2^33 + r].  Chunk bounds
+Generator(seed=[s, i, r]), pilot chunks from [s, i, 2^33 + r].  A chunk draws
+the component picks of all its replications first, then its full samples in
+row blocks of at most _BLOCK_VALUES observations, in row order from the same
+generator; since a family's draw reads the generator row after row, the
+blocks hold exactly the rows one draw of the whole chunk would.  Every
+replication's arithmetic reads its own row only, and the per-replication
+vectors are joined before the chunk's log-domain reductions.  Chunk bounds
 depend only on the sample size n and partial results are combined in chunk
 order, so output is byte-identical for any worker count.
 
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy import stats as sps
@@ -68,6 +74,10 @@ _PILOT_REPS = 400
 _PILOT_B_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 _PILOT_TARGET_FREQ = 0.2  # the first rung at or above this event frequency wins
 _ZERO_HIT_NUMERATOR = 3.0  # one-sided ~95% bound when no replication hits
+# observations per row block of a full-sample chunk: a block's log-likelihood
+# and estimator passes stay in cache, where a whole chunk's (R, n) arrays
+# (about 32 MB) would run at memory bandwidth
+_BLOCK_VALUES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +237,7 @@ class _Point:
 def _psi_matrix(pt: _Point, obs) -> np.ndarray:
     """psi = n^{-1/2} I^{-1/2} sum of truncated phi, per replication; (R, d)."""
     phi = pt.fam.score_phi(obs, pt.theta0)
-    # truncated in place, with one (R, n) temporary: chunks are large
+    # truncated in place, with one temporary the size of the row block
     sq = np.einsum("...k,...k->...", phi, phi)
     phi[np.sqrt(sq, out=sq) >= pt.eps / pt.u_n] = 0.0
     return (phi.sum(axis=1) @ pt.fisher.inv_sqrt.T) / math.sqrt(pt.n)
@@ -235,9 +245,11 @@ def _psi_matrix(pt: _Point, obs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Draws:
-    """One chunk's replications: their sufficient statistics (R, k), or None
-    when the family has none, and their full samples (R, n[, obs_dim]), or
-    None when the event reads only the statistics."""
+    """One block of a chunk's replications: their sufficient statistics
+    (R, k), or None when the family has none, and their full samples
+    (R, n[, obs_dim]), or None when the event reads only the statistics.  A
+    statistic chunk is one block; a full-sample chunk comes in row blocks of
+    at most _BLOCK_VALUES observations."""
 
     fam: ParametricFamily
     n: int
@@ -266,9 +278,10 @@ def _reads_samples(event) -> bool:
     return isinstance(event, PsiEvent)
 
 
-def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> _Draws:
-    """Replications start..stop-1 from the chunk's stream: a component per
-    replication (when there are several), then the statistics or samples."""
+def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> Iterator[_Draws]:
+    """Replications start..stop-1 from the chunk's stream, as _Draws blocks in
+    row order: a component per replication (when there are several), then the
+    statistics as one block, or the full samples in row blocks."""
     fam = pt.fam
     rng = rep_rng(pt.seed, pt.point_index, stream)
     comps = np.stack(pt.components)
@@ -277,9 +290,12 @@ def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> _Draws:
     thetas = comps[pick]
     stats = None if _reads_samples(pt.event) else fam.draw_stats(rng, thetas, pt.n)
     if stats is not None:
-        return _Draws(fam, pt.n, stats, None)
-    obs = fam.draw(rng, thetas, pt.n)
-    return _Draws(fam, pt.n, fam.suff_stats(obs), obs)
+        yield _Draws(fam, pt.n, stats, None)
+        return
+    rows = max(1, _BLOCK_VALUES // (pt.n * fam.obs_dim))
+    for lo in range(0, reps, rows):
+        obs = fam.draw(rng, thetas[lo : lo + rows], pt.n)
+        yield _Draws(fam, pt.n, fam.suff_stats(obs), obs)
 
 
 def _grid_posterior(draws: _Draws, prior, resolution, n, u_n):
@@ -371,18 +387,26 @@ def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
 def _sim_chunk(start, stop, pt: _Point):
     components = pt.components
     k_count = len(components)
-    draws = _draw_chunk(pt, start, stop, start)
-
     # only sampling from theta_gen itself (crude runs, the pilot at b = 0)
     # has unit weights; any other component, however close, is weighted
-    if k_count == 1 and np.array_equal(components[0], pt.theta_gen):
-        logw = np.zeros(stop - start)
-    else:
-        ll = draws.loglik(np.stack((pt.theta_gen,) + components))
+    weighted = not (k_count == 1 and np.array_equal(components[0], pt.theta_gen))
+    grid = np.stack((pt.theta_gen,) + components)
+    lls, inds = [], []
+    for draws in _draw_chunk(pt, start, stop, start):
+        if weighted:
+            lls.append(draws.loglik(grid))
+        inds.append(np.asarray(_indicator(pt, draws), dtype=bool))
+
+    if weighted:
+        # one logsumexp over the joined rows: a call per block costs more in
+        # overhead than the reduction itself
+        ll = np.concatenate(lls)
         logq = logsumexp(ll[:, 1:], axis=1) - math.log(k_count)
         logw = ll[:, 0] - logq
+    else:
+        logw = np.zeros(stop - start)
 
-    ind = np.asarray(_indicator(pt, draws), dtype=bool)
+    ind = np.concatenate(inds)
     hits = int(ind.sum())
     neg_inf = -math.inf
     lw_hit = float(logsumexp(logw[ind])) if hits else neg_inf
@@ -394,8 +418,8 @@ def _sim_chunk(start, stop, pt: _Point):
 
 def _pilot_chunk(start, stop, pt: _Point):
     """Event frequency under a single tilt component; used for tilt selection."""
-    draws = _draw_chunk(pt, start, stop, _PILOT_BASE + start)
-    return int(np.asarray(_indicator(pt, draws), dtype=bool).sum())
+    blocks = _draw_chunk(pt, start, stop, _PILOT_BASE + start)
+    return sum(int(np.asarray(_indicator(pt, d), dtype=bool).sum()) for d in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,17 @@ def test_dqm_gaussian_modulus_shrinks():
     np.testing.assert_allclose(model.phi_values(np.array([2.0])), [1.0], atol=1e-12)
 
 
+def test_dqm_integrand_stays_finite_in_the_far_tail():
+    # exp((l1 - l0)/2) alone overflows where the density underflows at |tau| >= 0.5;
+    # E[(g - tau x/2)^2] = 2 + tau^2/4 - 2 (1 + tau^2/4) e^{-tau^2/8} for N(0, 1)
+    _, rep = check_dqm(GAUSS, 0.0, [[1e-3], [1e-2], [1e-1], [0.5], [1.0]])
+    omega = rep.parameters["raw_omega"]
+    for tau, got in zip((0.5, 1.0), omega[3:]):
+        t2 = tau * tau
+        want = (2.0 + t2 / 4.0 - 2.0 * (1.0 + t2 / 4.0) * math.exp(-t2 / 8.0)) / t2
+        assert got == pytest.approx(want, rel=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # truncated LR moments (B) and the exponential envelope (A1A2)
 # ---------------------------------------------------------------------------

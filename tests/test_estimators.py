@@ -57,6 +57,17 @@ def test_mle_worked_values():
     assert float(r[0]) == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("family", ("laplace", "gaussian"))
+def test_mle_and_test_statistics_reject_nan_samples(family):
+    # a selection median would order NaN as a number and return a finite estimate
+    fam = get_family(family)
+    sample = _manual([0.2, np.nan, -1.0, 0.7], family, 0.0)
+    with pytest.raises(DomainError, match="support"):
+        mle(sample, fam)
+    with pytest.raises(DomainError, match="support"):
+        stat_triple(sample, fam, 0.0)
+
+
 def test_mle_planar_gaussian_is_the_mean_vector():
     fam = get_family("gaussian2")
     sample = draw_sample(fam, np.array([0.4, -0.6]), 50, seed=3)

@@ -401,6 +401,29 @@ def test_draw_block_statistics_match_draw_stats(name):
             assert p > 1e-3, (half, j, p)
 
 
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_draw_in_row_blocks_equals_one_draw(name):
+    # the Monte Carlo chunks draw their rows in blocks from one generator
+    fam = get_family(name)
+    n, reps = 37, 23
+    thetas, _ = _two_parameter_rows(name, reps)
+    whole = fam.draw(np.random.default_rng(9), thetas, n)
+    rng = np.random.default_rng(9)
+    blocks = [fam.draw(rng, thetas[lo : lo + 5], n) for lo in range(0, reps, 5)]
+    assert [len(b) for b in blocks] == [5, 5, 5, 5, 3]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 257, 1024, 4097))
+@pytest.mark.parametrize("reps", (1, 50))
+def test_laplace_median_by_selection_is_np_median(n, reps):
+    obs = np.random.default_rng(n + reps).laplace(0.3, 1.0, (reps, n))
+    got = get_family("laplace").mle_batch(obs)
+    want = np.median(obs, axis=1)[:, None]
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_laplace_has_no_statistic_law():
     fam = get_family("laplace")
     rng = np.random.default_rng(0)

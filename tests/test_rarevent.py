@@ -367,6 +367,40 @@ def test_rep_rng_streams():
     assert not np.array_equal(a, c)
 
 
+BLOCK_CASES = {
+    "laplace-mle_vs_psi": ("laplace", DiscrepancyEvent("mle_vs_psi", 0.125)),
+    "laplace-lr_vs_wald": ("laplace", DiscrepancyEvent("lr_vs_wald", 0.125)),
+    "laplace-lr_vs_psi2": ("laplace", DiscrepancyEvent("lr_vs_psi2", 0.125)),
+    "laplace-mle": ("laplace", MleEvent(HALF(1.0))),
+    "laplace-bayes": ("laplace", BayesEvent(HALF(1.0), PriorSpec.flat())),
+    "gaussian-psi": ("gaussian", PsiEvent(HALF(1.0))),
+    "gaussian2-psi": ("gaussian2", PsiEvent(HALF2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_row_blocks_leave_chunk_results_unchanged(monkeypatch, case):
+    # two components, so the chunk draws its component picks before any row
+    family, event = BLOCK_CASES[case]
+    fam = get_family(family)
+    n, reps, u = 66, 300, 66 ** (-1.0 / 3.0)
+    theta0 = np.zeros(fam.d)
+    e1 = np.eye(fam.d)[0]
+    pt = rarevent._Point(
+        fam, event, theta0, theta0.copy(), n, u, np.zeros(fam.d), 0.5,
+        fisher_information(fam, theta0), 4, 0, (theta0 + u * e1, theta0 - 0.5 * u * e1),
+    )
+    results = {}
+    for rows in (reps, 40):  # one block; seven blocks of 40 rows and one of 20
+        monkeypatch.setattr(rarevent, "_BLOCK_VALUES", rows * n * fam.obs_dim)
+        blocks = [d.obs.shape[0] for d in rarevent._draw_chunk(pt, 0, reps, 0)]
+        assert blocks == ([reps] if rows == reps else [40] * 7 + [20])
+        results[rows] = (rarevent._sim_chunk(0, reps, pt), rarevent._pilot_chunk(0, reps, pt))
+    assert results[40] == results[reps]
+    (hits, *_), pilot_hits = results[reps]
+    assert 0 < hits < reps and 0 < pilot_hits < reps
+
+
 # ---------------------------------------------------------------------------
 # pilot ladder
 # ---------------------------------------------------------------------------
