@@ -24,9 +24,6 @@ THETA0 = {
     "laplace": [0.0],
 }
 
-# the moment exponents must exceed the parameter dimension
-EXTRA = {"gaussian2": {"e_beta1": 3.0, "e_beta2": 3.0}}
-
 CONDITIONS = ("DQM", "A0", "B", "A1A2", "C1C2", "D", "E", "LOSS")
 
 
@@ -42,7 +39,7 @@ def main():
         out_dir = Path(args.out) / family
         out_dir.mkdir(parents=True, exist_ok=True)
         cfg_path = out_dir / "config.json"
-        cfg = {"family": family, "theta0": THETA0[family], **EXTRA.get(family, {})}
+        cfg = {"family": family, "theta0": THETA0[family]}
         cfg_path.write_text(json.dumps(cfg))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # laplace D-check warns by design

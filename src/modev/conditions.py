@@ -51,6 +51,7 @@ from .families import (
     hellinger_affinity,
     integrate_support,
     score,
+    tensor_rule,
 )
 
 DEFAULT_BOUND = 1e6
@@ -209,6 +210,23 @@ def _tau_magnitudes(tau_grid) -> np.ndarray:
     return np.array([float(np.linalg.norm(np.atleast_1d(t))) for t in tau_grid])
 
 
+def _dqm_residual2(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray) -> Callable:
+    """x -> (sqrt f_{theta0+tau} - sqrt f_theta0 (1 + phi'tau))^2, vectorized.
+
+    The density's root stays inside the square: exp((l1 - l0)/2) alone
+    overflows in the far tail where f_theta0 underflows, and inf * 0 would
+    poison the quadrature.
+    """
+    t1 = theta0 + tau
+
+    def integrand(x):
+        root0 = np.exp(0.5 * fam.log_density(x, theta0))
+        r = np.exp(0.5 * fam.log_density(x, t1)) - root0 * (1.0 + fam.score_phi(x, theta0) @ tau)
+        return r * r
+
+    return integrand
+
+
 def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, ConditionReport]:
     """Fit omega_hat(|tau|) = max_directions E[(g - tau'phi)^2] / |tau|^2.
 
@@ -229,16 +247,8 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         m = float(np.linalg.norm(tau))
         t1 = theta0 + tau
-
-        # (g - phi'tau)^2 f_theta0 with the density's root inside the square,
-        # as in check_c: exp((l1 - l0)/2) alone overflows in the far tail
-        def integrand(x, t1=t1, tau=tau):
-            root0 = np.exp(0.5 * fam.log_density(x, theta0))
-            r = np.exp(0.5 * fam.log_density(x, t1)) - root0 * (1.0 + fam.score_phi(x, theta0) @ tau)
-            return r * r
-
         breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [theta0]
-        r = integrate_support(fam, integrand, breaks)
+        r = integrate_support(fam, _dqm_residual2(fam, theta0, tau), breaks)
         key = float(np.round(m, 12))
         per_mag[key] = max(per_mag.get(key, 0.0), r / m**2)
 
@@ -270,22 +280,17 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
 def _a0_scan_real2(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
     """Vectorized affinity scan for planar supports.
 
-    Adaptive 2-d quadrature per (theta, tau) pair is far too slow for the
-    delta/10 grid, so integrate sqrt(f_theta f_{theta+tau}) on a tensor
-    Gauss-Legendre rule in the translated variable y = x - theta; the window
-    half-width 14 + |tau| puts the truncated mass below double precision for
-    unit-scale densities.
+    integrate_support per (theta, tau) pair is far too slow for the delta/10
+    grid, so integrate sqrt(f_theta f_{theta+tau}) for a block of theta at
+    once on one order-48 tensor Gauss-Legendre rule in the translated
+    variable y = x - theta; the window half-width 14 + |tau| puts the
+    truncated mass below double precision for unit-scale densities.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(48)
     dom = fam.theta_domain
     best = math.inf
     best_at = None
     for tau in taus:
-        half = 14.0 + float(np.linalg.norm(tau))
-        y = nodes * half
-        wy = weights * half
-        mesh = np.stack(np.meshgrid(y, y, indexing="ij"), axis=-1).reshape(-1, 2)
-        wmesh = (wy[:, None] * wy[None, :]).reshape(-1)
+        mesh, wmesh = tensor_rule(48, 14.0 + float(np.linalg.norm(tau)))
         shifted = thetas + tau[None, :]
         ok = np.all((shifted > dom.lo) & (shifted < dom.hi), axis=1)
         if not ok.any():
@@ -457,7 +462,7 @@ def check_moment_b(
     """E_theta[(LR 1(|log LR| > eps))^gamma_n] over a theta neighborhood and tau grid."""
     if eps <= 0 or gamma_n < 1:
         raise GridError("need eps > 0 and gamma_n >= 1")
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    theta0 = fam.validate_theta(theta0)
     overflow = False
     worst = 0.0
     worst_at = None
@@ -495,6 +500,8 @@ def check_moment_b(
             if val > worst:
                 worst, worst_at = val, (theta, tau)
 
+    if not witnesses:
+        raise GridError("no feasible (theta, tau) pair: the neighborhood leaves the domain")
     if overflow:
         verdict = "inconclusive"
     else:
@@ -531,7 +538,7 @@ def check_exp_moment(
     """
     if gamma <= 0:
         raise GridError("gamma must be positive")
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    theta0 = fam.validate_theta(theta0)
     width = fam.theta_domain.width()
     offsets = [np.zeros(fam.d)]
     for i in range(fam.d):
@@ -641,20 +648,14 @@ def check_c(
         tau = uk * e1
         t1 = theta0 + tau
 
-        # (g - phi'tau)^2 f_theta0 and g^2 f_theta0 with the density's root
-        # inside the square: exp((l1 - l0)/2) alone overflows in the far tail
-        # where f_theta0 underflows, and inf * 0 would poison the quadrature
-        def resid2(x, t1=t1, tau=tau):
-            root0 = np.exp(0.5 * fam.log_density(x, theta0))
-            r = np.exp(0.5 * fam.log_density(x, t1)) - root0 * (1.0 + fam.score_phi(x, theta0) @ tau)
-            return r * r
-
+        # g^2 f_theta0 with the density's root inside the square, as in
+        # _dqm_residual2
         def g2(x, t1=t1):
             r = np.exp(0.5 * fam.log_density(x, t1)) - np.exp(0.5 * fam.log_density(x, theta0))
             return r * r
 
         breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [t1, theta0]
-        omega[k] = integrate_support(fam, resid2, breaks) / uk**2
+        omega[k] = integrate_support(fam, _dqm_residual2(fam, theta0, tau), breaks) / uk**2
         eg2 = integrate_support(fam, g2, breaks)
         c2_diff[k] = abs(eg2 - float(tau @ fisher.matrix @ tau) / 4.0)
         thr = eps / uk
@@ -777,7 +778,7 @@ def check_e(
     """
     if not (beta1 > fam.d and beta2 > fam.d):
         raise GridError("beta1 and beta2 must exceed the parameter dimension")
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    theta0 = fam.validate_theta(theta0)
 
     witnesses = []
     fitted_c = 0.0

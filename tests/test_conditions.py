@@ -6,10 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.stats as sps
+from scipy import integrate, special
 
 from modev import (
     Box,
     DivergenceError,
+    DomainError,
     GridError,
     LossSpec,
     MonotoneError,
@@ -248,6 +250,11 @@ def test_moment_b_validation():
         check_moment_b(GAUSS, 0.0, 0.1, -1.0, 1.5, [0.1])
     with pytest.raises(GridError):
         check_moment_b(GAUSS, 0.0, 0.1, 0.5, 0.5, [0.1])
+    with pytest.raises(DomainError):
+        check_moment_b(GAUSS, [0.0, 0.0], 0.1, 0.5, 1.5, [0.1])
+    with pytest.raises(GridError):
+        # theta0 lies in the domain, but no theta0 +- u_n + tau does
+        check_moment_b(get_family("bernoulli"), [0.985], 0.01, 0.5, 1.5, [[0.019]])
 
 
 def test_exp_moment_matches_closed_form():
@@ -259,11 +266,31 @@ def test_exp_moment_matches_closed_form():
     assert rep.witnesses[0].value == pytest.approx(want, abs=1e-8)
 
 
+def test_exp_moment_planar_abs_envelope_matches_radial_form():
+    # |x| is kinked at 0, the centre of the planar window
+    fam = get_family("gaussian2")
+    gamma = 0.1
+    rep = check_exp_moment(fam, [0.0, 0.0], lambda x: np.linalg.norm(x, axis=-1), gamma)
+    c = float(np.linalg.norm(rep.witnesses[0].input["theta"]))
+    assert c == pytest.approx(1.0, abs=1e-12)  # the farthest neighborhood points
+
+    # E exp(gamma |X|) for X ~ N(theta, I_2), |theta| = c, integrated over the
+    # angle: e^{-(r^2 + c^2)/2} I0(rc) = e^{-(r - c)^2/2} i0e(rc)
+    def radial(r):
+        return math.exp(gamma * r - 0.5 * (r - c) ** 2) * r * special.i0e(r * c)
+
+    want, _ = integrate.quad(radial, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
+    assert rep.verdict == "pass"
+    assert rep.witnesses[0].value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_exp_moment_rejects_divergent_envelope():
     with pytest.raises(DivergenceError):
         check_exp_moment(GAUSS, 0.0, lambda x: np.asarray(x) ** 2, 1.0)
     with pytest.raises(GridError):
         check_exp_moment(GAUSS, 0.0, lambda x: np.abs(x), 0.0)
+    with pytest.raises(DomainError):
+        check_exp_moment(GAUSS, [50.0], lambda x: np.abs(x), 0.1)
 
 
 def _planar_moment_per_ray(fam, theta, log_h, g, t, span):
@@ -417,6 +444,14 @@ def test_d_gaussian_worst_moment():
     assert rep.witnesses[0].value == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=1e-8)
 
 
+def test_d_planar_gaussian_kinked_moment():
+    # |x - theta|^3 is kinked at theta, the centre of each planar window;
+    # |X - theta|^2 is chi-square with 2 degrees of freedom at every theta
+    rep = check_d(get_family("gaussian2"), 3.0)
+    assert rep.verdict == "pass"
+    assert rep.witnesses[0].value == pytest.approx(2.0**1.5 * math.gamma(2.5), rel=1e-10, abs=0.0)
+
+
 def test_d_laplace_warns_once_about_ae_gradient():
     fam = get_family("laplace")
     with pytest.warns(NonDifferentiableWarning):
@@ -446,6 +481,8 @@ def test_e_validation():
         check_e(GAUSS, 0.0, 1e6, 1.0, 2.0, [(0.0, 0.1)])
     with pytest.raises(GridError):
         check_e(GAUSS, 0.0, 1e6, 2.0, 2.0, [(0.0, 20.0)])  # leaves the domain
+    with pytest.raises(DomainError):
+        check_e(GAUSS, [50.0], 1e6, 2.0, 2.0, [(0.0, 0.1)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from modev import (
     DomainError,
+    QuadratureError,
     SupportError,
     draw_sample,
     expect,
@@ -24,7 +25,7 @@ from modev import (
     phi_matrix,
     score,
 )
-from modev.families import density_normalization, loglik_grid
+from modev.families import density_normalization, loglik_grid, tensor_rule
 
 ALL_FAMILIES = ("gaussian", "gaussian2", "bernoulli", "exponential", "laplace")
 
@@ -301,6 +302,34 @@ def test_integrate_support_binary_is_exact_sum():
     fam = get_family("bernoulli")
     val = integrate_support(fam, lambda x: np.asarray(x) + 3.0)
     assert val == pytest.approx(7.0, abs=0.0)
+
+
+def test_tensor_rule_one_panel_is_the_plain_rule():
+    nodes, wts = np.polynomial.legendre.leggauss(48)
+    y, w = nodes * 15.5, wts * 15.5
+    offsets, weights = tensor_rule(48, 15.5)
+    assert np.array_equal(offsets, np.stack(np.meshgrid(y, y, indexing="ij"), axis=-1).reshape(-1, 2))
+    assert np.array_equal(weights, (w[:, None] * w[None, :]).reshape(-1))
+
+
+def test_tensor_rule_two_panels_integrate_a_centre_kink_exactly():
+    # on [-2, 2]^2, |x1| integrates to 4 and |x2|^3 to 8; each is a polynomial on a panel
+    offsets, weights = tensor_rule(4, 2.0, panels=2)
+    assert offsets.shape == (64, 2)
+    val = np.abs(offsets[:, 0]) * np.abs(offsets[:, 1]) ** 3 @ weights
+    assert val == pytest.approx(4.0 * 8.0, rel=1e-14)
+
+
+def test_integrate_support_planar_kink_off_centre_raises():
+    # the kink at (3, 0) lies inside a panel of the window centred at 0
+    fam = get_family("gaussian2")
+    kink = np.array([3.0, 0.0])
+
+    def fn(x):
+        return np.exp(0.3 * np.linalg.norm(x - kink, axis=-1) + fam.log_density(x, np.zeros(2)))
+
+    with pytest.raises(QuadratureError):
+        integrate_support(fam, fn)
 
 
 # ---------------------------------------------------------------------------
