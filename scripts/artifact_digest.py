@@ -92,6 +92,11 @@ for _family, _theta0 in (("exponential", [1.0]), ("gaussian2", [0.0, 0.0])):
     RUNS.append(("check-conditions", _family, {
         "family": _family, "theta0": _theta0, "checks": ["moment_b", "c"],
     }))
+# B and the gradient moment D on the 1-d location families
+for _family in ("gaussian", "laplace"):
+    RUNS.append(("check-conditions", _family, {
+        "family": _family, "theta0": [0.0], "checks": ["moment_b", "d"],
+    }))
 # Hellinger separation A0 on small compacts; the exponential one reaches the
 # domain edge theta = 0.1, where the density's scale is 10
 for _family, _theta0 in (("gaussian", [0.0]), ("laplace", [0.0]), ("exponential", [0.5]),

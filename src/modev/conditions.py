@@ -19,10 +19,14 @@ counts), 1-d supports are integrated whole with the crossings as breaks,
 where a piece that does not converge raises QuadratureError, and planar
 supports along polar rays, all rays scanned as one (ray, radius) array.
 
-A0 scans its (theta, tau) pairs as arrays: planar families on a tensor
-Gauss-Legendre rule, 1-d continuous families on a fixed panelled
-Gauss-Legendre rule split at theta and theta + tau, whose two orders must
-agree; a pair where they do not goes to adaptive quadrature.
+A0, B and D take an inf or sup over theta.  For a location family
+(ParametricFamily.location) the integral does not depend on theta, so they
+integrate one theta per tau: A0 the first feasible theta of its scan, B the
+first feasible point of its neighborhood, D the first grid node.  A0
+integrates its pairs on 1-d continuous supports with a fixed panelled
+Gauss-Legendre rule split at theta and theta + tau, vectorized over the
+pairs, whose two orders must agree; a pair where they do not, and every pair
+on another support, goes to hellinger_affinity.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .families import (
     hellinger_affinity,
     integrate_support,
     score,
-    tensor_rule,
 )
 
 DEFAULT_BOUND = 1e6
@@ -210,21 +213,24 @@ def _tau_magnitudes(tau_grid) -> np.ndarray:
     return np.array([float(np.linalg.norm(np.atleast_1d(t))) for t in tau_grid])
 
 
-def _dqm_residual2(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray) -> Callable:
-    """x -> (sqrt f_{theta0+tau} - sqrt f_theta0 (1 + phi'tau))^2, vectorized.
+def _dqm_omega(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray, breaks) -> float:
+    """E[(sqrt f_{theta0+tau} - sqrt f_theta0 (1 + phi'tau))^2] / |tau|^2.
 
-    The density's root stays inside the square: exp((l1 - l0)/2) alone
-    overflows in the far tail where f_theta0 underflows, and inf * 0 would
-    poison the quadrature.
+    The residual is O(|tau|^4); it is integrated divided by |tau|^4, so that
+    the absolute tolerance of integrate_support acts as a relative one, and
+    multiplied back by |tau|^2.  The density's root stays inside the square:
+    exp((l1 - l0)/2) alone overflows in the far tail where f_theta0
+    underflows, and inf * 0 would poison the quadrature.
     """
     t1 = theta0 + tau
+    m2 = float(tau @ tau)
 
     def integrand(x):
         root0 = np.exp(0.5 * fam.log_density(x, theta0))
         r = np.exp(0.5 * fam.log_density(x, t1)) - root0 * (1.0 + fam.score_phi(x, theta0) @ tau)
-        return r * r
+        return r * r / (m2 * m2)
 
-    return integrand
+    return integrate_support(fam, integrand, breaks) * m2
 
 
 def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, ConditionReport]:
@@ -248,9 +254,8 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
         m = float(np.linalg.norm(tau))
         t1 = theta0 + tau
         breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [theta0]
-        r = integrate_support(fam, _dqm_residual2(fam, theta0, tau), breaks)
         key = float(np.round(m, 12))
-        per_mag[key] = max(per_mag.get(key, 0.0), r / m**2)
+        per_mag[key] = max(per_mag.get(key, 0.0), _dqm_omega(fam, theta0, tau, breaks))
 
     order = np.argsort(np.array(list(per_mag)))
     mags_sorted = np.array(list(per_mag))[order]
@@ -275,38 +280,6 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
 # ---------------------------------------------------------------------------
 # A0: Hellinger separation
 # ---------------------------------------------------------------------------
-
-
-def _a0_scan_real2(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
-    """Vectorized affinity scan for planar supports.
-
-    integrate_support per (theta, tau) pair is far too slow for the delta/10
-    grid, so integrate sqrt(f_theta f_{theta+tau}) for a block of theta at
-    once on one order-48 tensor Gauss-Legendre rule in the translated
-    variable y = x - theta; the window half-width 14 + |tau| puts the
-    truncated mass below double precision for unit-scale densities.
-    """
-    dom = fam.theta_domain
-    best = math.inf
-    best_at = None
-    for tau in taus:
-        mesh, wmesh = tensor_rule(48, 14.0 + float(np.linalg.norm(tau)))
-        shifted = thetas + tau[None, :]
-        ok = np.all((shifted > dom.lo) & (shifted < dom.hi), axis=1)
-        if not ok.any():
-            continue
-        feas = thetas[ok]
-        for lo in range(0, feas.shape[0], 256):
-            block = feas[lo : lo + 256]
-            # built coordinate-major, so each coordinate's pass runs along the mesh
-            x = np.moveaxis(block.T[:, :, None] + mesh.T[:, None, :], 0, -1)
-            la = fam.log_density(x, block[:, None, :])
-            lb = fam.log_density(x, block[:, None, :] + tau[None, None, :])
-            h2 = 2.0 * (1.0 - np.exp(0.5 * (la + lb)) @ wmesh)
-            i = int(np.argmin(h2))
-            if h2[i] < best:
-                best, best_at = float(h2[i]), (block[i].copy(), tau.copy())
-    return best, best_at
 
 
 # The 1-d A0 rule: between the breaks theta and theta + tau, panels no wider
@@ -361,24 +334,28 @@ def _a0_rule_1d(fam: ParametricFamily, theta: np.ndarray, shifted: np.ndarray) -
     return np.where(ok, vals[1], np.nan)
 
 
-def _a0_scan_1d(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
-    """H^2 over every feasible (theta, tau) pair of a 1-d family, first
-    minimum in (theta, tau) order.
+def _a0_scan(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
+    """H^2 over the feasible (theta, tau) pairs, first minimum in (theta, tau)
+    order.
 
-    Continuous supports go through _a0_rule_1d, a block of pairs at a time;
-    a pair it does not trust, and every pair of the binary support (an exact
-    two-point sum), goes to hellinger_affinity.
+    A location family's H^2(theta, theta + tau) is the same at every theta,
+    so each tau is integrated at its first feasible theta only.  Pairs on a
+    1-d continuous support go through _a0_rule_1d, a block at a time; a pair
+    it does not trust, and every pair on another support, goes to
+    hellinger_affinity (an exact two-point sum on the binary support, the
+    two-order tensor rule of integrate_support on the plane).
     """
-    pairs = [
-        (theta, tau)
-        for theta in thetas
-        for tau in taus
-        if fam.theta_domain.contains(theta + tau, margin=0.0)
-    ]
-    if not pairs:
+    dom = fam.theta_domain
+    hits = []  # (theta index, tau index)
+    for j, tau in enumerate(taus):
+        t1 = thetas + tau
+        ok = np.nonzero(np.all((t1 > dom.lo) & (t1 < dom.hi), axis=1))[0]
+        hits += [(i, j) for i in ok[: 1 if fam.location else None]]
+    if not hits:
         return math.inf, None
+    pairs = [(thetas[i], taus[j]) for i, j in sorted(hits)]
     aff = np.full(len(pairs), np.nan)
-    if fam.support.kind != "binary":
+    if fam.support.kind in ("real", "halfline"):
         theta = np.array([p[0][0] for p in pairs])
         shifted = theta + np.array([p[1][0] for p in pairs])
         for lo in range(0, len(pairs), _A0_PAIRS):
@@ -394,11 +371,9 @@ def _a0_scan_1d(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
 def check_a0(fam: ParametricFamily, compact: Box, delta: float) -> ConditionReport:
     """inf of H^2(theta, theta+tau) over theta in the compact, |tau| >= delta.
 
-    The (theta, tau) pairs are scanned as arrays: planar families on a tensor
-    Gauss-Legendre rule (_a0_scan_real2), 1-d continuous families on a
-    panelled Gauss-Legendre rule checked against a second order, with
-    hellinger_affinity's adaptive quadrature for any pair the rule does not
-    trust (_a0_scan_1d).
+    theta runs over a delta/10 grid on the compact and tau over six
+    magnitudes from delta along each signed axis; _a0_scan integrates the
+    pairs, one theta per tau for a location family.
     """
     if delta <= 0:
         raise GridError("delta must be positive")
@@ -430,8 +405,7 @@ def check_a0(fam: ParametricFamily, compact: Box, delta: float) -> ConditionRepo
 
     clipped = np.stack([fam.theta_domain.clip_interior(t, margin) for t in thetas])
     taus = [delta * f * e for e in directions for f in mag_factors]
-    scan = _a0_scan_real2 if fam.support.kind == "real2" else _a0_scan_1d
-    best, best_at = scan(fam, clipped, taus)
+    best, best_at = _a0_scan(fam, clipped, taus)
     if best_at is None:
         raise GridError("no feasible (theta, tau) pair: delta too large for the compact")
 
@@ -459,7 +433,12 @@ def check_moment_b(
     c1: float = 2.0,
     bound: float = DEFAULT_BOUND,
 ) -> ConditionReport:
-    """E_theta[(LR 1(|log LR| > eps))^gamma_n] over a theta neighborhood and tau grid."""
+    """E_theta[(LR 1(|log LR| > eps))^gamma_n] over a theta neighborhood and tau grid.
+
+    The neighborhood is theta0 and theta0 +- u_n e_i.  A location family's
+    moment is the same at every theta, so it takes only the first point
+    feasible with tau (theta0, unless theta0 + tau leaves the domain).
+    """
     if eps <= 0 or gamma_n < 1:
         raise GridError("need eps > 0 and gamma_n >= 1")
     theta0 = fam.validate_theta(theta0)
@@ -468,11 +447,12 @@ def check_moment_b(
     worst_at = None
     witnesses = []
 
-    neigh = [np.zeros(fam.d)]
+    neigh = [theta0]
     for i in range(fam.d):
         e = np.zeros(fam.d)
         e[i] = u_n
-        neigh.extend([e.copy(), -e])
+        neigh.extend([theta0 + e, theta0 - e])
+    dom = fam.theta_domain
 
     for tau in tau_grid:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -480,12 +460,8 @@ def check_moment_b(
             raise GridError(f"|tau| = {np.linalg.norm(tau):.4g} not below C1 u_n = {c1 * u_n:.4g}")
         # |log LR| grows about like |tau| |x - theta|, so it crosses eps near eps/|tau|
         span = 2.0 * eps / max(float(np.linalg.norm(tau)), 1e-8) + 60.0
-        for dth in neigh:
-            theta = theta0 + dth
-            if not (
-                fam.theta_domain.contains(theta) and fam.theta_domain.contains(theta + tau)
-            ):
-                continue
+        thetas = [t for t in neigh if dom.contains(t) and dom.contains(t + tau)]
+        for theta in thetas[: 1 if fam.location else None]:
             t1 = theta + tau
 
             def log_lr(x, theta=theta, t1=t1):
@@ -649,13 +625,13 @@ def check_c(
         t1 = theta0 + tau
 
         # g^2 f_theta0 with the density's root inside the square, as in
-        # _dqm_residual2
+        # _dqm_omega
         def g2(x, t1=t1):
             r = np.exp(0.5 * fam.log_density(x, t1)) - np.exp(0.5 * fam.log_density(x, theta0))
             return r * r
 
         breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [t1, theta0]
-        omega[k] = integrate_support(fam, _dqm_residual2(fam, theta0, tau), breaks) / uk**2
+        omega[k] = _dqm_omega(fam, theta0, tau, breaks)
         eg2 = integrate_support(fam, g2, breaks)
         c2_diff[k] = abs(eg2 - float(tau @ fisher.matrix @ tau) / 4.0)
         thr = eps / uk
@@ -715,7 +691,11 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def check_d(fam: ParametricFamily, m: float, bound: float = DEFAULT_BOUND) -> ConditionReport:
-    """sup over a theta grid of E_theta |grad log f|^m, m > d."""
+    """sup over a theta grid of E_theta |grad log f|^m, m > d.
+
+    A location family's moment is the same at every theta, so only the first
+    grid node is integrated.
+    """
     if not m > fam.d:
         raise GridError(f"m must exceed the parameter dimension {fam.d}")
     if fam.gradient_ae:
@@ -738,7 +718,7 @@ def check_d(fam: ParametricFamily, m: float, bound: float = DEFAULT_BOUND) -> Co
         thetas = np.stack([mm.ravel() for mm in mesh], axis=-1)
 
     worst, worst_theta = 0.0, thetas[0]
-    for theta in thetas:
+    for theta in thetas[: 1 if fam.location else None]:
 
         def h(x, theta=theta):
             return np.linalg.norm(fam.grad_log_density(x, theta), axis=-1) ** m

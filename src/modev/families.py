@@ -22,6 +22,7 @@ families read theta[..., 0], and score_phi carries a trailing axis of length d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Optional
@@ -149,6 +150,9 @@ class ParametricFamily:
     support: Support = field(default_factory=lambda: Support("real"))
     # the log density has kinks, so its gradient exists only almost everywhere
     gradient_ae: ClassVar[bool] = False
+    # log f(x + s, theta + s) = log f(x, theta): an integral over x of f_theta
+    # and its shifts f_{theta + tau} is the same at every theta
+    location: ClassVar[bool] = False
 
     # -- density and scores ------------------------------------------------
     def log_density(self, x, theta):
@@ -217,6 +221,7 @@ class GaussianLocation(ParametricFamily):
     obs_dim: int = 1
     theta_domain: Box = field(default_factory=lambda: Box(np.array([-10.0]), np.array([10.0])))
     support: Support = field(default_factory=lambda: Support("real"))
+    location: ClassVar[bool] = True
 
     def log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -256,6 +261,7 @@ class GaussianLocation2(ParametricFamily):
         default_factory=lambda: Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
     )
     support: Support = field(default_factory=lambda: Support("real2"))
+    location: ClassVar[bool] = True
 
     def log_density(self, x, theta):
         # adding the two squared columns rounds as a sum over the last axis
@@ -389,6 +395,7 @@ class LaplaceLocation(ParametricFamily):
     theta_domain: Box = field(default_factory=lambda: Box(np.array([-10.0]), np.array([10.0])))
     support: Support = field(default_factory=lambda: Support("real"))
     gradient_ae: ClassVar[bool] = True
+    location: ClassVar[bool] = True
 
     def log_density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -401,7 +408,9 @@ class LaplaceLocation(ParametricFamily):
         return np.array([[1.0]])
 
     def draw(self, rng, thetas, n):
-        return rng.laplace(thetas[:, :1], 1.0, (len(thetas), n))
+        x = rng.laplace(0.0, 1.0, (len(thetas), n))
+        x += thetas[:, :1]
+        return x
 
     def mle_batch(self, obs_mat):
         # the sample median by selection, bitwise equal to np.median on finite
@@ -469,6 +478,15 @@ def get_family(name: str, theta_domain: Optional[Box] = None) -> ParametricFamil
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # an eigenvalue problem of size order: too dear to repeat per integral;
+    # the cached arrays are shared, so they are made read-only
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
+
+
 def tensor_rule(order: int, half: float, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule on the square [-half, half]^2.
 
@@ -476,7 +494,7 @@ def tensor_rule(order: int, half: float, panels: int = 1) -> tuple[np.ndarray, n
     Returns the (N, 2) node offsets from the square's centre and the (N,)
     weights, axis 0 varying slowest.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes, wts = _leggauss(order)
     h = half / panels
     mids = h * (2.0 * np.arange(panels) + 1.0 - panels)
     y = (mids[:, None] + nodes * h).ravel()
@@ -653,6 +671,4 @@ def fisher_by_quadrature(fam: ParametricFamily, theta0) -> np.ndarray:
 
 def density_normalization(fam: ParametricFamily, theta) -> float:
     """Integral of the density over the support; equals 1 for valid families."""
-    theta = _as_theta(fam, theta)
-    breaks = [float(theta[0])] if fam.obs_dim == 1 else []
-    return integrate_support(fam, lambda x: np.exp(fam.log_density(x, theta)), breaks)
+    return expect(fam, theta, lambda x: 1.0)

@@ -1,6 +1,7 @@
 """Regularity checks against independently derived values."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_a0_planar_gaussian_infimum():
     rep = check_a0(fam, Box(np.full(2, -1.0), np.full(2, 1.0)), 0.5)
     want = 2.0 * (1.0 - math.exp(-0.25 / 8.0))
     assert rep.verdict == "pass"
-    assert rep.witnesses[0].value == pytest.approx(want, abs=1e-4)
+    assert rep.witnesses[0].value == pytest.approx(want, abs=1e-12)
 
 
 def test_a0_grid_validation():
@@ -78,6 +79,29 @@ def _recorded_rule_pairs(monkeypatch, fam, compact, delta):
     return check_a0(fam, compact, delta), seen
 
 
+def _a0_pair_grid(fam, compact, delta):
+    """Every feasible (theta, tau) pair of check_a0's scan, in its order: theta
+    on the delta/10 grid over the compact, tau at six magnitudes from delta
+    along each signed axis."""
+    step = delta / 10.0
+    axes = [np.arange(compact.lo[i], compact.hi[i] + step / 2, step) for i in range(fam.d)]
+    thetas = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    margin = 1e-9 * np.max(fam.theta_domain.width())
+    taus = [delta * f * s * e for s in (1, -1) for e in np.eye(fam.d)
+            for f in (1.0, 1.3, 1.7, 2.2, 3.0, 4.0)]
+    return [
+        (theta, tau)
+        for theta in (fam.theta_domain.clip_interior(t, margin) for t in thetas)
+        for tau in taus
+        if fam.theta_domain.contains(theta + tau)
+    ]
+
+
+def _full_scan(fam):
+    """fam without its location declaration: every check scans every theta."""
+    return type(f"FullScan{type(fam).__name__}", (type(fam),), {"location": False})()
+
+
 @pytest.mark.parametrize(
     "family, lo, hi",
     [
@@ -86,16 +110,39 @@ def _recorded_rule_pairs(monkeypatch, fam, compact, delta):
         ("exponential", 0.1, 3.0),  # scale 1/theta reaches 10 at theta = 0.1
     ],
 )
-def test_a0_rule_matches_adaptive_quadrature(monkeypatch, family, lo, hi):
+def test_a0_rule_matches_adaptive_quadrature(family, lo, hi):
     fam = get_family(family)
-    rep, seen = _recorded_rule_pairs(monkeypatch, fam, Box(np.array([lo]), np.array([hi])), 0.5)
-    assert len(seen) > 300
-    assert min(theta for theta, _, _ in seen) < lo + 1e-8
-    for theta, shifted, aff in seen:
-        want = hellinger_affinity(fam, np.array([theta]), np.array([shifted - theta]))
-        assert abs(aff - want) <= 1e-12, (theta, shifted)
-    best = min(2.0 * (1.0 - min(aff, 1.0)) for _, _, aff in seen)
-    assert rep.witnesses[0].value == best
+    compact = Box(np.array([lo]), np.array([hi]))
+    pairs = _a0_pair_grid(fam, compact, 0.5)
+    assert len(pairs) > 300
+    assert min(float(theta[0]) for theta, _ in pairs) < lo + 1e-8
+    theta = np.array([float(t[0]) for t, _ in pairs])
+    shifted = theta + np.array([float(tau[0]) for _, tau in pairs])
+    block = conditions._A0_PAIRS
+    aff = np.concatenate([
+        conditions._a0_rule_1d(fam, theta[i : i + block], shifted[i : i + block])
+        for i in range(0, len(pairs), block)
+    ])
+    for (t, tau), got in zip(pairs, aff):
+        assert abs(got - hellinger_affinity(fam, t, tau)) <= 1e-12, (t, tau)
+    best = float(np.min(2.0 * (1.0 - np.minimum(aff, 1.0))))
+    rep = check_a0(fam, compact, 0.5)
+    assert rep.witnesses[0].value == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "family, halfwidth", [("gaussian", 1.0), ("laplace", 1.0), ("gaussian2", 0.05)]
+)
+def test_a0_location_scan_matches_full_scan(family, halfwidth):
+    # the oracle: hellinger_affinity on every pair of the full theta scan
+    fam = get_family(family)
+    compact = Box(np.full(fam.d, -halfwidth), np.full(fam.d, halfwidth))
+    pairs = _a0_pair_grid(fam, compact, 0.5)
+    assert len({tuple(t) for t, _ in pairs}) > 1
+    want = min(2.0 * (1.0 - hellinger_affinity(fam, t, tau)) for t, tau in pairs)
+    rep = check_a0(fam, compact, 0.5)
+    assert rep.witnesses[0].value == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert float(np.linalg.norm(rep.witnesses[0].input["tau"])) == 0.5
 
 
 @dataclass(frozen=True)
@@ -164,6 +211,26 @@ def test_dqm_integrand_stays_finite_in_the_far_tail():
         t2 = tau * tau
         want = (2.0 + t2 / 4.0 - 2.0 * (1.0 + t2 / 4.0) * math.exp(-t2 / 8.0)) / t2
         assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("family", ("gaussian", "laplace"))
+def test_dqm_small_tau_omega_is_accurate(family):
+    # both families give E[(g - tau phi)^2] in closed form, here as series in
+    # a = tau^2/8 and in tau, free of the cancellation the closed forms suffer
+    _, rep = check_dqm(get_family(family), 0.0, [[1e-3], [1e-2], [1e-1]])
+    for tau, got in zip((1e-3, 1e-2), rep.parameters["raw_omega"]):
+        if family == "gaussian":
+            # 2 + tau^2/4 - 2 (1 + tau^2/4) e^{-tau^2/8} = sum_{j>=2} (-1)^j (4j - 2) a^j / j!
+            a = tau * tau / 8.0
+            terms = [(-1) ** j * (4 * j - 2) * a**j / math.factorial(j) for j in range(2, 30)]
+        else:
+            # 2 + h^2 - 2 (1 + h + h^2) e^{-h} = sum_{j>=3} (-1)^(j+1) 2 (j - 1)^2 h^j / j!
+            # at h = tau/2
+            h = tau / 2.0
+            terms = [(-1) ** (j + 1) * 2 * (j - 1) ** 2 * h**j / math.factorial(j)
+                     for j in range(3, 30)]
+        want = math.fsum(terms) / (tau * tau)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), tau
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +302,29 @@ def test_moment_b_laplace_vanishes_when_tau_below_eps():
     # the Laplace log ratio is bounded by |tau|, so no x passes eps >= |tau|
     rep = check_moment_b(get_family("laplace"), 0.0, 0.1, 0.5, 1.5, [0.05, 0.1, -0.15])
     assert rep.verdict == "pass"
-    assert [w.value for w in rep.witnesses] == [0.0] * 9
+    assert [w.value for w in rep.witnesses] == [0.0] * 3  # theta0 alone per tau
+
+
+@pytest.mark.parametrize(
+    "family, u_n, eps", [("gaussian", 0.1, 0.05), ("laplace", 0.5, 0.2), ("gaussian2", 0.1, 0.05)]
+)
+def test_moment_b_location_scan_matches_full_scan(family, u_n, eps):
+    fam = get_family(family)
+    theta0 = np.full(fam.d, 0.3)
+    # three taus: the full scan's 3 (2d + 1) witnesses are all reported
+    taus = [m * u_n * e for m, e in zip((0.5, -1.0, 1.5), np.eye(fam.d)[[0, -1, 0]])]
+    rep = check_moment_b(fam, theta0, u_n, eps, 1.5, taus)
+    full = check_moment_b(_full_scan(fam), theta0, u_n, eps, 1.5, taus)
+    assert len(rep.witnesses) == len(taus)
+    assert len(full.witnesses) == len(taus) * (2 * fam.d + 1)
+    for w in rep.witnesses:
+        np.testing.assert_array_equal(w.input["theta"], theta0)
+        same_tau = [v.value for v in full.witnesses if np.array_equal(v.input["tau"], w.input["tau"])]
+        assert w.value > 0.0
+        assert w.value == pytest.approx(max(same_tau), rel=1e-12, abs=0.0)
+    assert rep.parameters["max_value"] == pytest.approx(
+        full.parameters["max_value"], rel=1e-12, abs=0.0
+    )
 
 
 def test_moment_b_overflow_guard_makes_verdict_inconclusive():
@@ -450,6 +539,17 @@ def test_d_planar_gaussian_kinked_moment():
     rep = check_d(get_family("gaussian2"), 3.0)
     assert rep.verdict == "pass"
     assert rep.witnesses[0].value == pytest.approx(2.0**1.5 * math.gamma(2.5), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("family", ("gaussian", "laplace", "gaussian2"))
+def test_d_location_scan_matches_full_scan(family):
+    fam = get_family(family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonDifferentiableWarning)
+        rep = check_d(fam, 3.0)
+        full = check_d(_full_scan(fam), 3.0)
+    np.testing.assert_array_equal(rep.witnesses[0].input["theta"], fam.theta_domain.lo + 2e-8)
+    assert rep.witnesses[0].value == pytest.approx(full.witnesses[0].value, rel=1e-12, abs=0.0)
 
 
 def test_d_laplace_warns_once_about_ae_gradient():

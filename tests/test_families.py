@@ -79,6 +79,27 @@ def test_density_normalizes_to_one(name):
     assert density_normalization(fam, theta_for(name)) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_planar_density_normalization_follows_theta():
+    # the window is centred at theta, so the mass near the domain edge is kept
+    # (a window centred at 0 drops 2 sf(4.5) = 6.8e-6 of it)
+    fam = get_family("gaussian2")
+    assert abs(density_normalization(fam, [9.5, 9.5]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_location_flag_is_shift_invariance(name):
+    # location families satisfy log f(x + s, theta + s) = log f(x, theta)
+    fam = get_family(name)
+    rng = np.random.default_rng(4)
+    theta = theta_for(name)
+    s = rng.uniform(0.05, 0.3, fam.d)
+    x = np.array([0.0, 1.0]) if fam.support.kind == "binary" else rng.uniform(0.2, 2.0, 5)
+    x = x[:, None] + theta - 0.1 if fam.obs_dim == 2 else x
+    got = fam.log_density(x + s if fam.obs_dim == 2 else x + s[0], theta + s)
+    invariant = bool(np.all(np.abs(got - fam.log_density(x, theta)) <= 1e-12))
+    assert fam.location == invariant
+
+
 def test_family_registry():
     assert set(family_names()) == set(ALL_FAMILIES)
     with pytest.raises(DomainError):
@@ -451,6 +472,20 @@ def test_laplace_median_by_selection_is_np_median(n, reps):
     want = np.median(obs, axis=1)[:, None]
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def test_laplace_draw_adds_the_location_to_standard_draws():
+    # the same bytes as numpy's broadcast location, a -0.0 location included:
+    # loc - scale log(2 - 2U) and (0 - log(2 - 2U)) + loc differ only in the sign
+    # of a zero at loc = -0.0, U = 1/2, and then the draw here is +0.0
+    fam = get_family("laplace")
+    thetas = np.array([[0.0], [-0.0], [0.3], [-2.75], [9.5]])
+    got = fam.draw(np.random.default_rng(8), thetas, 4097)
+    want = np.random.default_rng(8).laplace(thetas, 1.0, (5, 4097))
+    assert got.tobytes() == want.tobytes()
+    neg = fam.draw(np.random.default_rng(8), np.array([[-0.0]]), 4097)
+    pos = fam.draw(np.random.default_rng(8), np.array([[0.0]]), 4097)
+    assert neg.tobytes() == pos.tobytes()
 
 
 def test_laplace_has_no_statistic_law():
