@@ -49,7 +49,7 @@ for _family, _theta0 in (("gaussian", [0.0]), ("bernoulli", [0.5]), ("exponentia
         "schedule": SCHEDULE, "budget": BUDGET,
     }))
 # Laplace has no sufficient statistic and its couplings pick their tilt on the
-# pilot ladder; odd n keeps the median a single order statistic
+# pilot ladder; at odd n the median is a single order statistic
 RUNS.append(("equivalence", "laplace", {
     "family": "laplace", "theta0": [0.0], "seed": 3, "delta": 0.125,
     "schedule": {**SCHEDULE, "n_values": [65, 257]}, "budget": BUDGET,
@@ -63,12 +63,14 @@ for _name, _extra in (
         "family": "gaussian", "theta0": [0.0], "seed": 5, "region": HALF,
         "schedule": SCHEDULE, "budget": BUDGET, **_extra,
     }))
-# Laplace full samples at even n: the median is the mean of the two middle
-# order statistics, and the Bayes event builds a posterior grid per replication
+# Laplace window samples at even n: the median is the mean of the two middle
+# order statistics, the Bayes event builds a posterior grid per replication,
+# and psi counts the points above theta0
 for _name, _extra in (
     ("laplace-mle-even", {"event": "mle"}),
     ("laplace-bayes", {"event": "bayes", "prior": {"kind": "flat"},
                        "loss": {"kind": "power", "p": 2.0}}),
+    ("laplace-psi", {"event": "psi"}),
 ):
     RUNS.append(("ldp-curve", _name, {
         "family": "laplace", "theta0": [0.0], "seed": 5, "region": HALF,

@@ -21,9 +21,15 @@ from .regions import RegionSpec
 
 # v2: Monte Carlo draws come from one RNG stream per chunk, and statistic
 # events draw their sufficient statistic from its exact law (v1: one stream
-# per replication, full samples), so a v1 manifest no longer reproduces its run
-MANIFEST_SCHEMA = "modev.manifest.v2"
-_V1_SCHEMA = "modev.manifest.v1"
+# per replication, full samples).  v3: Laplace replications are drawn as
+# window samples about their middle order statistics (v2: full samples), and
+# complement boxes tilt toward every nearest face.  A manifest of an older
+# schema no longer reproduces its run.
+MANIFEST_SCHEMA = "modev.manifest.v3"
+_OLD_SCHEMAS = {
+    "modev.manifest.v1": "the per-replication RNG contract",
+    "modev.manifest.v2": "full-sample Laplace draws",
+}
 
 
 def _reject_unknown(d: dict, allowed, path: str = "") -> None:
@@ -343,11 +349,12 @@ def load_config(path: str, command: str, seed_override: Optional[int] = None):
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
 
-    if raw.get("schema") == _V1_SCHEMA:
+    if raw.get("schema") in _OLD_SCHEMAS:
         raise ConfigError(
-            f"manifest schema {_V1_SCHEMA} was written under the per-replication RNG"
-            f" contract; {MANIFEST_SCHEMA} draws one RNG stream per chunk, so a rerun"
-            " would not reproduce its artifacts (pass its config section as a config)"
+            f"manifest schema {raw['schema']} was written under"
+            f" {_OLD_SCHEMAS[raw['schema']]}; {MANIFEST_SCHEMA} changed the RNG"
+            " contract, so a rerun would not reproduce its artifacts (pass its config"
+            " section as a config)"
         )
     if raw.get("schema") == MANIFEST_SCHEMA:
         man_cmd = raw.get("command")

@@ -181,6 +181,25 @@ class ParametricFamily:
         nothing drawn, when the family has no statistic."""
         return None
 
+    def draw_window(self, rng: np.random.Generator, thetas, n: int, window, rows: int):
+        """R samples of size n, one per parameter row of thetas (R, d), drawn
+        from their exact law but kept explicitly only on a window about their
+        middle order statistics; None, with nothing drawn, when the family has
+        no such law.
+
+        window(mid) maps the (R, 2) lower and upper middle order statistics
+        (equal for odd n) to the (R,) window ends lo <= mid <= hi.  Returns
+        an iterator over blocks of at most `rows` replications, in row order:
+        the weighted samples (values, counts), both (rows, m), and the (rows,
+        d) sample medians.  A weighted sample counts each value counts times;
+        it parks the points below lo at lo - 1 and those above hi at hi + 1,
+        so its log-likelihood differences between parameters in [lo, hi], and
+        its count of points on either side of such a parameter, are those of
+        the full sample when the log density is linear in theta outside the
+        window.  The draws do not depend on `rows`.
+        """
+        return None
+
     # -- estimator hooks ---------------------------------------------------
     def mle_batch(self, obs_mat) -> Optional[np.ndarray]:
         """Closed-form estimates for a (reps, n[, obs_dim]) stack, or None."""
@@ -412,6 +431,62 @@ class LaplaceLocation(ParametricFamily):
         x += thetas[:, :1]
         return x
 
+    def draw_window(self, rng, thetas, n, window, rows):
+        # Order statistics of n iid draws (David & Nagaraja, Order Statistics,
+        # 3rd ed., 2003): j = (n - 1) // 2 points lie below the lower middle
+        # order statistic, which is F^-1 of a Beta(j + 1, n - j) variate, and
+        # j above the upper one.  For even n the upper one is the least of the
+        # n - j - 1 points above the lower one, so its survival is the lower
+        # one's times V^(1 / (n - j - 1)), V uniform.  Given the middle pair,
+        # each side is iid Laplace truncated at it: a Binomial count of points
+        # beyond the window end, and explicit draws between the end and the
+        # middle.  The right side is drawn mirrored, in z = theta - x.
+        # Reads: the Beta variates, (even n) the V, the (R, 2) Binomial counts
+        # row by row, then the uniforms of the explicit points, row by row,
+        # left side first; a block reads the uniforms of its own rows, so
+        # the blocks read one stream whatever their size.
+        loc = thetas[:, 0]
+        reps = len(loc)
+        j = (n - 1) // 2
+        p_lo = rng.beta(j + 1, n - j, reps)
+        mid = np.empty((reps, 2))
+        mid[:, 0] = _laplace_icdf(p_lo)
+        if n % 2:
+            mid[:, 1] = mid[:, 0]
+        else:
+            mid[:, 1] = -_laplace_icdf((1.0 - p_lo) * rng.random(reps) ** (1.0 / (n - j - 1)))
+        mid += loc[:, None]
+        lo, hi = window(mid)
+        f_end = _laplace_cdf(np.stack((lo - loc, loc - hi), axis=1))
+        f_mid = _laplace_cdf(np.stack((mid[:, 0] - loc, loc - mid[:, 1]), axis=1))
+        beyond = rng.binomial(j, np.minimum(f_end / f_mid, 1.0))
+        medians = mid.mean(axis=1, keepdims=True)
+
+        def block(b):
+            between = (j - beyond[b]).ravel()
+            u = rng.random(int(between.sum()))
+            f0 = np.repeat(f_end[b].ravel(), between)
+            y = _laplace_icdf(f0 + u * (np.repeat(f_mid[b].ravel(), between) - f0))
+            side = np.repeat(np.tile([1.0, -1.0], len(between) // 2), between)
+            x = np.repeat(np.repeat(loc[b], 2), between) + side * y
+            # columns: the parked points, the middle pair, then the explicit
+            # points padded with weight-0 copies of lo
+            inner = between.reshape(-1, 2).sum(axis=1)
+            width = 4 + int(inner.max(initial=0))
+            values = np.empty((len(inner), width))
+            counts = np.zeros((len(inner), width))
+            values[:, 0], values[:, 1], values[:, 2:4] = lo[b] - 1.0, hi[b] + 1.0, mid[b]
+            counts[:, :2] = beyond[b]
+            counts[:, 2] = 1.0
+            counts[:, 3] = 1.0 - n % 2
+            filled = np.arange(width - 4) < inner[:, None]
+            values[:, 4:] = lo[b, None]
+            values[:, 4:][filled] = x
+            counts[:, 4:][filled] = 1.0
+            return values, counts, medians[b]
+
+        return (block(slice(first, first + rows)) for first in range(0, reps, rows))
+
     def mle_batch(self, obs_mat):
         # the sample median by selection, bitwise equal to np.median on finite
         # rows (the middle element, or the mean of the two middle ones), without
@@ -424,6 +499,17 @@ class LaplaceLocation(ParametricFamily):
         return (part[:, k - 1 : k] + part[:, k : k + 1]) / 2.0
 
 
+def _laplace_cdf(y):
+    """Standard Laplace distribution function."""
+    half_tail = 0.5 * np.exp(-np.abs(y))
+    return np.where(y < 0.0, half_tail, 1.0 - half_tail)
+
+
+def _laplace_icdf(p):
+    """Standard Laplace quantile function."""
+    return np.copysign(np.log(2.0 * np.minimum(p, 1.0 - p)), p - 0.5)
+
+
 _FAMILIES: dict[str, Callable[[], ParametricFamily]] = {
     "gaussian": GaussianLocation,
     "gaussian2": GaussianLocation2,
@@ -433,21 +519,24 @@ _FAMILIES: dict[str, Callable[[], ParametricFamily]] = {
 }
 
 
-def loglik_grid(fam: ParametricFamily, obs, thetas) -> np.ndarray:
+def loglik_grid(fam: ParametricFamily, obs, thetas, counts=None) -> np.ndarray:
     """(R, G) log-likelihoods of the replication rows of obs on a parameter grid.
 
     obs is (R, n[, obs_dim]); thetas is one grid (G, d) shared by every row
-    or one grid (R, G, d) per row.  A family with a sufficient statistic is
-    evaluated through it, up to a theta-free constant; any other sums the log
-    density over the sample one grid point at a time, so that no (R, G, n)
-    temporary is held.
+    or one grid (R, G, d) per row.  counts (R, n), when given, makes each row
+    a weighted sample (see draw_window) that counts each value that often.
+    An unweighted sample of a family with a sufficient statistic is evaluated
+    through it, up to a theta-free constant; any other sums the log density
+    over the sample one grid point at a time, so that no (R, G, n) temporary
+    is held.
     """
-    stats = fam.suff_stats(obs)
+    stats = None if counts is not None else fam.suff_stats(obs)
     if stats is not None:
         return fam.loglik_from_stats(stats, obs.shape[1], thetas)
     out = np.empty((obs.shape[0], thetas.shape[-2]))
     for g in range(thetas.shape[-2]):
-        out[:, g] = np.sum(fam.log_density(obs, thetas[..., g, None, :]), axis=-1)
+        ld = fam.log_density(obs, thetas[..., g, None, :])
+        out[:, g] = np.sum(ld, axis=-1) if counts is None else np.einsum("rn,rn->r", ld, counts)
     return out
 
 
@@ -534,7 +623,8 @@ def integrate_support(fam: ParametricFamily, fn, breaks=()) -> float:
             vals = []
             for order in (96, 128):
                 offsets, wmesh = tensor_rule(order, half, panels)
-                vals.append(float(np.asarray(fn(mid + offsets), dtype=float) @ wmesh))
+                # a plain sum of products: a BLAS dot rounds by its thread count
+                vals.append(float(np.sum(np.asarray(fn(mid + offsets), dtype=float) * wmesh)))
             err = abs(vals[1] - vals[0])
             if err <= max(_QUAD_ACCEPT * 10, 1e-8 * abs(vals[1])):
                 return vals[1]

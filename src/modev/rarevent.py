@@ -14,7 +14,10 @@ Generator(seed=[s, i, r]), pilot chunks from [s, i, 2^33 + r].  A chunk draws
 the component picks of all its replications first, then its full samples in
 row blocks of at most _BLOCK_VALUES observations, in row order from the same
 generator; since a family's draw reads the generator row after row, the
-blocks hold exactly the rows one draw of the whole chunk would.  Every
+blocks hold exactly the rows one draw of the whole chunk would.  A family
+with a window law (ParametricFamily.draw_window) draws the middle order
+statistics and the counts beyond the window of the whole chunk first, then
+the points inside the window in the same row blocks, row after row.  Every
 replication's arithmetic reads its own row only, and the per-replication
 vectors are joined before the chunk's log-domain reductions.  Chunk bounds
 depend only on the sample size n and partial results are combined in chunk
@@ -34,9 +37,18 @@ depends on another, the choice is the one the full ladder would make.
 Statistic path: when the event's indicator and the tilt weights read the data
 only through a sufficient statistic (MLE, Bayes, posterior-mass and lr_vs_wald
 events on a family with a draw_stats hook), a chunk draws that statistic from
-its exact law, O(1) per replication, instead of n observations.  Events that
-read the truncated score (psi, mle_vs_psi, lr_vs_psi2) and families without a
-statistic draw full samples.
+its exact law, O(1) per replication, instead of n observations.
+
+Window path: on a family with a draw_window hook (Laplace), every event draws
+each replication from its exact law as a weighted window sample: its middle
+order statistics, and given them a Binomial count of the points beyond the
+window on each side and the points inside it.  The window (_window) holds
+every parameter the events read, the log density is linear in theta outside
+it, and the score sign(x - theta0)/2 is constant there, so log-likelihood
+differences, the median and psi are those of the full sample.
+
+Other events that read the truncated score (psi, mle_vs_psi, lr_vs_psi2)
+and families with neither hook draw full samples.
 """
 
 from __future__ import annotations
@@ -234,41 +246,67 @@ class _Point:
     components: tuple = ()
 
 
-def _psi_matrix(pt: _Point, obs) -> np.ndarray:
-    """psi = n^{-1/2} I^{-1/2} sum of truncated phi, per replication; (R, d)."""
-    phi = pt.fam.score_phi(obs, pt.theta0)
-    # truncated in place, with one temporary the size of the row block
-    sq = np.einsum("...k,...k->...", phi, phi)
-    phi[np.sqrt(sq, out=sq) >= pt.eps / pt.u_n] = 0.0
-    return (phi.sum(axis=1) @ pt.fisher.inv_sqrt.T) / math.sqrt(pt.n)
-
-
 @dataclass(frozen=True)
 class _Draws:
     """One block of a chunk's replications: their sufficient statistics
-    (R, k), or None when the family has none, and their full samples
-    (R, n[, obs_dim]), or None when the event reads only the statistics.  A
-    statistic chunk is one block; a full-sample chunk comes in row blocks of
-    at most _BLOCK_VALUES observations."""
+    (R, k), or None when the family has none, and their samples, or None when
+    the event reads only the statistics.  The samples are full (R, n[,
+    obs_dim]) with counts None, or weighted window samples (R, m) with their
+    counts and medians (see ParametricFamily.draw_window).  A statistic chunk
+    is one block; a sample chunk comes in row blocks of at most _BLOCK_VALUES
+    observations of a full sample."""
 
     fam: ParametricFamily
     n: int
     stats: Optional[np.ndarray]
     obs: Optional[np.ndarray]
+    counts: Optional[np.ndarray] = None
+    medians: Optional[np.ndarray] = None
 
     def loglik(self, thetas) -> np.ndarray:
         """(R, G) log-likelihoods on a shared (G, d) or per-row (R, G, d) grid."""
         if self.stats is None:
-            return loglik_grid(self.fam, self.obs, thetas)
+            return loglik_grid(self.fam, self.obs, thetas, self.counts)
         return self.fam.loglik_from_stats(self.stats, self.n, thetas)
 
     def mle(self) -> np.ndarray:
         if self.stats is not None:
             return self.fam.mle_from_stats(self.stats, self.n)
+        if self.medians is not None:
+            return self.medians
         est = self.fam.mle_batch(self.obs)
         if est is None:
             raise DomainError(f"family {self.fam.name!r} lacks a batch estimator for MC kernels")
         return est
+
+
+def _psi_matrix(pt: _Point, draws: _Draws) -> np.ndarray:
+    """psi = n^{-1/2} I^{-1/2} sum of truncated phi, per replication; (R, d)."""
+    phi = pt.fam.score_phi(draws.obs, pt.theta0)
+    # truncated in place, with one temporary the size of the row block
+    sq = np.einsum("...k,...k->...", phi, phi)
+    phi[np.sqrt(sq, out=sq) >= pt.eps / pt.u_n] = 0.0
+    if draws.counts is None:
+        total = phi.sum(axis=1)
+    else:
+        total = np.einsum("rm,rmk->rk", draws.counts, phi)
+    return (total @ pt.fisher.inv_sqrt.T) / math.sqrt(pt.n)
+
+
+def _window(pt: _Point, mid: np.ndarray):
+    """Window ends (lo, hi), each (R,), of a chunk's window samples: the hull
+    of theta0, theta_gen, the components, each replication's (R, 2) middle
+    order statistics and, for a grid-posterior event, its posterior box.
+    Every parameter the events read lies in it."""
+    fixed = np.concatenate((pt.theta0, pt.theta_gen) + pt.components)
+    lo = np.minimum(fixed.min(), mid[:, 0])
+    hi = np.maximum(fixed.max(), mid[:, 1])
+    if isinstance(pt.event, (BayesEvent, PosteriorMassEvent)):
+        # the box _grid_posterior builds about the same medians
+        box = default_posterior_box(pt.fam, mid.mean(axis=1, keepdims=True), pt.n, pt.u_n)
+        lo = np.minimum(lo, box.lo[:, 0])
+        hi = np.maximum(hi, box.hi[:, 0])
+    return lo, hi
 
 
 def _reads_samples(event) -> bool:
@@ -281,7 +319,8 @@ def _reads_samples(event) -> bool:
 def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> Iterator[_Draws]:
     """Replications start..stop-1 from the chunk's stream, as _Draws blocks in
     row order: a component per replication (when there are several), then the
-    statistics as one block, or the full samples in row blocks."""
+    statistics as one block, or the window samples or the full samples in row
+    blocks."""
     fam = pt.fam
     rng = rep_rng(pt.seed, pt.point_index, stream)
     comps = np.stack(pt.components)
@@ -293,6 +332,11 @@ def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> Iterator[_Dra
         yield _Draws(fam, pt.n, stats, None)
         return
     rows = max(1, _BLOCK_VALUES // (pt.n * fam.obs_dim))
+    windows = fam.draw_window(rng, thetas, pt.n, lambda mid: _window(pt, mid), rows)
+    if windows is not None:
+        for values, counts, medians in windows:
+            yield _Draws(fam, pt.n, None, values, counts, medians)
+        return
     for lo in range(0, reps, rows):
         obs = fam.draw(rng, thetas[lo : lo + rows], pt.n)
         yield _Draws(fam, pt.n, fam.suff_stats(obs), obs)
@@ -322,7 +366,7 @@ def _indicator(pt: _Point, draws: _Draws) -> np.ndarray:
         w = (draws.mle() - pt.theta_gen[None, :]) @ i_sqrt.T / u_n
         return event.region.contains(w)
     if isinstance(event, PsiEvent):
-        w = 2.0 * _psi_matrix(pt, draws.obs) / (math.sqrt(n) * u_n) - (i_sqrt @ pt.b)[None, :]
+        w = 2.0 * _psi_matrix(pt, draws) / (math.sqrt(n) * u_n) - (i_sqrt @ pt.b)[None, :]
         return event.region.contains(w)
     if isinstance(event, BayesEvent):
         nodes, probs = _grid_posterior(draws, event.prior, event.resolution, n, u_n)
@@ -371,7 +415,7 @@ def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
     est = draws.mle()
     if event.kind == "mle_vs_psi":
         lhs = (est - pt.theta0[None, :]) @ pt.fisher.sqrt.T
-        disc = np.linalg.norm(lhs - 2.0 * _psi_matrix(pt, draws.obs) / math.sqrt(n), axis=1)
+        disc = np.linalg.norm(lhs - 2.0 * _psi_matrix(pt, draws) / math.sqrt(n), axis=1)
         return disc > event.delta * u_n
     sum_xi = (draws.loglik(est[:, None, :]) - draws.loglik(pt.theta_gen[None, :]))[:, 0]
     if event.kind == "lr_vs_wald":
@@ -379,7 +423,7 @@ def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
         wald = n * np.einsum("ri,ij,rj->r", diff, pt.fisher.matrix, diff)
         return np.abs(2.0 * sum_xi - wald) > 2.0 * event.delta * n * u_n**2
     # lr_vs_psi2
-    center = _psi_matrix(pt, draws.obs) - math.sqrt(n) * u_n * pt.b[None, :]
+    center = _psi_matrix(pt, draws) - math.sqrt(n) * u_n * pt.b[None, :]
     quad = 2.0 * np.sum(center * center, axis=1)
     return np.abs(sum_xi - quad) > event.delta * n * u_n**2
 
@@ -490,28 +534,36 @@ def _pilot_tilts(pt: _Point, pool: PointPool):
 # ---------------------------------------------------------------------------
 
 
+def _log_interval(lo: float, hi: float) -> float:
+    """log P(lo < Z < hi) for Z ~ N(0, 1), from the tail on the interval's
+    side of 0 so that a deep-tail interval keeps its digits."""
+    if lo >= 0.0:
+        a, b = float(sps.norm.logsf(lo)), float(sps.norm.logsf(hi))
+    elif hi <= 0.0:
+        a, b = float(sps.norm.logcdf(hi)), float(sps.norm.logcdf(lo))
+    else:
+        return math.log(sps.norm.cdf(hi) - sps.norm.cdf(lo))
+    return a + math.log(-math.expm1(b - a)) if b < a else -math.inf
+
+
 def _gaussian_region_logtail(region: RegionSpec, scale: float) -> float:
     """log P(Z in region) for Z ~ N(0, scale^{-2} Id): the exact tails the
-    Monte Carlo estimates are judged against."""
+    Monte Carlo estimates are judged against, all in the log domain."""
     if region.shape == "half_space":
         return float(sps.norm.logsf(region.c * scale))
     if region.shape == "complement_ball":
         return float(sps.chi2.logsf((region.r * scale) ** 2, df=region.d))
     if region.shape == "box":
-        lp = 0.0
-        for lo, hi in zip(region.lo, region.hi):
-            p = sps.norm.cdf(hi * scale) - sps.norm.cdf(lo * scale)
-            if p <= 0:
-                return -math.inf
-            lp += math.log(p)
-        return lp
+        return sum(_log_interval(lo * scale, hi * scale) for lo, hi in zip(region.lo, region.hi))
     if region.shape == "complement_box":
-        lp_in = 0.0
+        # 1 - prod_i (1 - q_i) = sum_i q_i prod_{j<i} (1 - q_j), q_i the
+        # probability that axis i leaves [lo_i, hi_i]: no cancellation
+        terms, log_stay = [], 0.0
         for lo, hi in zip(region.lo, region.hi):
-            p = sps.norm.cdf(hi * scale) - sps.norm.cdf(lo * scale)
-            lp_in += math.log(max(p, 1e-300))
-        val = -math.expm1(lp_in)  # 1 - P(box)
-        return math.log(max(val, 1e-300))
+            log_q = float(np.logaddexp(sps.norm.logcdf(lo * scale), sps.norm.logsf(hi * scale)))
+            terms.append(log_stay + log_q)
+            log_stay += math.log1p(-math.exp(log_q))
+        return float(logsumexp(terms))
     raise DomainError(f"no exact tail for region shape {region.shape!r}")
 
 
@@ -575,6 +627,16 @@ def _exact_tail(event, fam, theta0, n, u_n, b, eps, seed) -> ProbEstimate:
         if not mask.any():
             return ProbEstimate(0.0, -math.inf, 0.0, "exact", 0, seed)
         log_p = float(logsumexp(sps.binom.logpmf(ks[mask], n, float(theta_gen[0]))))
+        return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
+
+    if fam.name == "laplace" and isinstance(event, MleEvent) and region.shape == "half_space":
+        # by symmetry either direction asks whether the median passes theta_gen
+        # by s, which it does when at least (n + 1) / 2 of the n draws do
+        if n % 2 == 0:
+            raise DomainError("the Laplace median tail is closed-form for odd n only")
+        s = u_n * region.c / float(fisher_information(fam, theta0).sqrt[0, 0])
+        q = 0.5 * math.exp(-s) if s >= 0 else 1.0 - 0.5 * math.exp(s)
+        log_p = float(sps.binom.logsf((n - 1) // 2, n, q))
         return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
 
     if fam.name == "exponential" and isinstance(event, MleEvent) and region.shape == "half_space":

@@ -75,7 +75,7 @@ class RegionSpec:
         """Points of the closure nearest to the origin (tilt anchors).
 
         half_space and box have a unique nearest point; complement_ball and
-        complement_box have several symmetric ones, all returned so tilted
+        complement_box can have several symmetric ones, all returned so tilted
         sampling can mix over them.
         """
         if self.shape == "half_space":
@@ -95,11 +95,17 @@ class RegionSpec:
         origin = np.zeros(self.d)
         if np.any(origin < self.lo) or np.any(origin > self.hi):
             return [origin]
-        gaps = np.minimum(-self.lo, self.hi)  # distance to each face pair from 0
-        i = int(np.argmin(gaps))
-        e = np.zeros(self.d)
-        e[i] = self.lo[i] if -self.lo[i] <= self.hi[i] else self.hi[i]
-        return [e]
+        # every face as near as the nearest one, across both ends and all
+        # axes: one tilt per face, or the other faces' share of the event
+        # goes unsampled
+        faces = np.concatenate((self.lo, self.hi))
+        gaps = np.abs(faces)
+        pts = []
+        for k in np.flatnonzero(gaps <= gaps.min() * (1.0 + 1e-12)):
+            e = np.zeros(self.d)
+            e[k % self.d] = faces[k]
+            pts.append(e)
+        return pts
 
 
 def rate_functional(region: RegionSpec) -> float:

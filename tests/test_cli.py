@@ -260,10 +260,29 @@ def test_v1_manifest_is_rejected_with_the_rng_contract(tmp_path):
          "budget": {"n_reps": 500, "min_reps": 100}},
     )
     manifest = read_manifest(out)
-    assert manifest["schema"] == "modev.manifest.v2"
+    assert manifest["schema"] == "modev.manifest.v3"
     manifest["schema"] = "modev.manifest.v1"
     old = write_config(tmp_path, "old_manifest.json", manifest)
     with pytest.raises(modev.ConfigError, match=r"modev\.manifest\.v1.*RNG"):
+        load_config(old, "ldp-curve")
+    rc = main(["ldp-curve", "--config", old, "--out", str(tmp_path / "x"), "--workers", "1"])
+    assert rc == 2
+    assert not (tmp_path / "x" / "ldp_curve.csv").exists()
+
+
+def test_v2_manifest_is_rejected_with_the_laplace_draws(tmp_path):
+    # v2 manifests drew Laplace replications as full samples; v3 draws window
+    # samples, so a v2 Laplace run would not reproduce
+    _, out = run(
+        tmp_path,
+        "ldp-curve",
+        {"family": "laplace", "schedule": {"n_values": [65]},
+         "budget": {"n_reps": 200, "min_reps": 100}},
+    )
+    manifest = read_manifest(out)
+    manifest["schema"] = "modev.manifest.v2"
+    old = write_config(tmp_path, "old_manifest.json", manifest)
+    with pytest.raises(modev.ConfigError, match=r"modev\.manifest\.v2.*Laplace.*RNG"):
         load_config(old, "ldp-curve")
     rc = main(["ldp-curve", "--config", old, "--out", str(tmp_path / "x"), "--workers", "1"])
     assert rc == 2

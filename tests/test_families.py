@@ -1,6 +1,10 @@
 """Family calculus against closed forms the implementation never evaluates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,28 @@ def test_integrate_support_binary_is_exact_sum():
     assert val == pytest.approx(7.0, abs=0.0)
 
 
+def test_planar_quadrature_does_not_depend_on_blas_threads():
+    # the planar rule reduces with a plain sum of products; a BLAS dot would
+    # round by its thread count
+    code = (
+        "import numpy as np\n"
+        "from modev import expect, get_family\n"
+        "theta = np.array([0.3, -0.2])\n"
+        "f = lambda x: (x[..., 0] - theta[0]) ** 4\n"
+        "print(expect(get_family('gaussian2'), theta, f).hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        outs.append(run.stdout.strip())
+    assert outs[0] == outs[1]
+    assert float.fromhex(outs[0]) == pytest.approx(3.0, rel=1e-13)
+
+
 def test_tensor_rule_one_panel_is_the_plain_rule():
     nodes, wts = np.polynomial.legendre.leggauss(48)
     y, w = nodes * 15.5, wts * 15.5
@@ -494,6 +520,88 @@ def test_laplace_has_no_statistic_law():
     state = rng.bit_generator.state
     assert fam.draw_stats(rng, np.zeros((4, 1)), 10) is None
     assert rng.bit_generator.state == state  # nothing was drawn
+
+
+@pytest.mark.parametrize("name", ("gaussian", "gaussian2", "bernoulli", "exponential"))
+def test_only_laplace_has_a_window_law(name):
+    fam = get_family(name)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert fam.draw_window(rng, np.zeros((4, fam.d)), 10, None, 4) is None
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", (2, 3, 64, 65))
+def test_laplace_window_sample_structure(n):
+    # the counts add up to n, only points outside the window carry a count
+    # above 1, and the median sits at the middle of the counts
+    fam = get_family("laplace")
+    reps = 400
+    thetas = np.linspace(-0.3, 0.3, reps)[:, None]
+
+    ends = []
+
+    def window(mid):
+        ends.extend((np.minimum(mid[:, 0], -0.1), np.maximum(mid[:, 1], 0.2)))
+        return ends
+
+    blocks = list(fam.draw_window(np.random.default_rng(n), thetas, n, window, reps))
+    assert len(blocks) == 1
+    values, counts, medians = blocks[0]
+    lo, hi = ends[0][:, None], ends[1][:, None]
+    np.testing.assert_array_equal(counts.sum(axis=1), n)
+    assert np.all(counts[(values >= lo) & (values <= hi)] <= 1.0)
+    below = (counts * (values < medians)).sum(axis=1)
+    above = (counts * (values > medians)).sum(axis=1)
+    np.testing.assert_array_equal(below, n // 2)
+    np.testing.assert_array_equal(above, n // 2)
+
+
+def test_laplace_window_medians_follow_the_order_statistic_law():
+    # P(median <= t) = P(Binomial(n, F(t)) >= (n + 1) / 2) for odd n;
+    # Kolmogorov-Smirnov on 4,000 draws, and the even-n median against
+    # medians of full samples
+    fam = get_family("laplace")
+    n, reps = 65, 4000
+    thetas = np.full((reps, 1), 0.2)
+
+    def window(mid):
+        return mid[:, 0], mid[:, 1]
+
+    def medians(rng, n):
+        return np.concatenate([m for _, _, m in fam.draw_window(rng, thetas, n, window, 500)])
+
+    med = medians(np.random.default_rng(1), n)
+
+    def cdf(t):
+        f = np.where(t < 0.2, 0.5 * np.exp(t - 0.2), 1.0 - 0.5 * np.exp(0.2 - t))
+        return sps.binom.sf((n - 1) // 2, n, f)
+
+    assert sps.kstest(med[:, 0], cdf).pvalue > 1e-3
+    even = medians(np.random.default_rng(2), n + 1)
+    full = np.median(fam.draw(np.random.default_rng(3), thetas, n + 1), axis=1)
+    assert sps.ks_2samp(even[:, 0], full).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", (64, 65))
+def test_laplace_window_blocks_read_one_stream(n):
+    # blocks of 7 rows hold the rows one block of all 30 would, each row's
+    # points in the same order (the padding to a block's width aside)
+    fam = get_family("laplace")
+    thetas = np.linspace(-0.2, 0.2, 30)[:, None]
+
+    def window(mid):
+        return np.minimum(mid[:, 0], -0.15), np.maximum(mid[:, 1], 0.25)
+
+    def rows(size):
+        out = []
+        for values, counts, medians in fam.draw_window(np.random.default_rng(4), thetas, n,
+                                                       window, size):
+            out += [(v[c > 0].tobytes(), c[c > 0].tobytes(), m.tobytes())
+                    for v, c, m in zip(values, counts, medians)]
+        return out
+
+    assert rows(7) == rows(30)
 
 
 def test_bernoulli_boundary_loglik_is_finite():

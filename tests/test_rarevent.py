@@ -10,7 +10,7 @@ import pytest
 import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from modev import (
     Budget,
@@ -41,6 +41,7 @@ from modev import (
     rep_rng,
 )
 from modev import rarevent
+from modev.estimators import default_posterior_box, grid_nodes
 from modev.sampling import PointPool
 
 HALF = lambda c: RegionSpec("half_space", d=1, a=np.array([1.0]), c=c)
@@ -97,9 +98,68 @@ def test_exact_exponential_gamma_tail():
     assert r.log_p == pytest.approx(want, rel=1e-12)
 
 
+def test_exact_laplace_median_tail_is_a_binomial_sum():
+    # P(median > theta_gen + u c) for odd n: at least (n + 1) / 2 of the n
+    # draws pass it, each with probability q; the other direction mirrors it
+    fam = get_family("laplace")
+    for n, u, c in ((257, 0.2, 1.0), (1025, 0.1, 1.5), (4097, 0.06, -0.5), (65, 0.3, 0.0)):
+        s = u * c
+        q = 0.5 * math.exp(-s) if s >= 0 else 1.0 - 0.5 * math.exp(s)
+        k = np.arange((n + 1) // 2, n + 1)
+        log_pmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                   + k * math.log(q) + (n - k) * math.log1p(-q))
+        want = float(logsumexp(log_pmf))
+        for a in (1.0, -1.0):
+            region = RegionSpec("half_space", d=1, a=np.array([a]), c=c)
+            r = estimate_prob(MleEvent(region), fam, np.array([0.3]), n, u, b=np.array([0.5]),
+                              method="exact")
+            assert r.log_p == pytest.approx(want, rel=1e-10, abs=1e-12)
+            assert r.method == "exact" and r.stderr_log == 0.0
+    with pytest.raises(DomainError, match="odd n"):
+        estimate_prob(MleEvent(HALF(1.0)), fam, np.zeros(1), 256, 0.2, method="exact")
+
+
+def test_exact_gaussian_box_tails_keep_their_digits():
+    # at n = 6400 and u_n = n^(-1/4) the box [1, 3] and the exterior of
+    # [-1, 1] have probabilities near 1e-19, where 1 - P(box) and a difference
+    # of distribution functions lose every digit
+    fam = get_family("gaussian")
+    n = 6400
+    u = n ** -0.25
+    z = math.sqrt(n) * u
+    box = RegionSpec("box", d=1, lo=np.array([1.0]), hi=np.array([3.0]))
+    cbox = RegionSpec("complement_box", d=1, lo=np.array([-1.0]), hi=np.array([1.0]))
+    got_box = estimate_prob(MleEvent(box), fam, np.zeros(1), n, u, method="exact").log_p
+    got_cbox = estimate_prob(MleEvent(cbox), fam, np.zeros(1), n, u, method="exact").log_p
+    want_box = float(sps.norm.logsf(z)) + math.log(
+        -math.expm1(float(sps.norm.logsf(3.0 * z) - sps.norm.logsf(z))))
+    want_cbox = math.log(2.0) + float(sps.norm.logsf(z))
+    assert got_box == pytest.approx(want_box, rel=1e-12)
+    assert got_cbox == pytest.approx(want_cbox, rel=1e-12)
+    assert round(got_box, 3) == -43.122 and round(got_cbox, 3) == -42.429
+    # the same on the plane, where both axes share the exterior
+    cbox2 = RegionSpec("complement_box", d=2, lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 1.0]))
+    got2 = estimate_prob(MleEvent(cbox2), get_family("gaussian2"), np.zeros(2), n, u,
+                         method="exact").log_p
+    assert got2 == pytest.approx(math.log(4.0) + float(sps.norm.logsf(z)), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo against the oracles
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", (400, 6400))
+def test_tilted_symmetric_complement_box_matches_exact_tail(n):
+    # both faces of [-1, 1] are nearest; a tilt toward one of them alone
+    # leaves half of the event unsampled and reads about log 2 low
+    fam = get_family("gaussian")
+    u = n ** -0.25
+    event = MleEvent(RegionSpec("complement_box", d=1, lo=np.array([-1.0]), hi=np.array([1.0])))
+    ex = estimate_prob(event, fam, np.zeros(1), n, u, method="exact")
+    for seed in range(8):
+        r = estimate_prob(event, fam, np.zeros(1), n, u, n_reps=2500, seed=seed)
+        assert abs(r.log_p - ex.log_p) <= 3.0 * r.stderr_log, seed
 
 
 def test_tilted_matches_exact_gaussian():
@@ -622,3 +682,176 @@ def test_bahadur_sweep_validation():
 def test_normalized_rate_arithmetic():
     est = ProbEstimate(math.exp(-2.0), -2.0, 0.0, "exact", 0, 0)
     assert RatePoint(n=100, u_n=0.1, estimate=est).normalized_rate == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# Laplace window samples
+# ---------------------------------------------------------------------------
+
+
+def _full_samples(fam):
+    """The same family without its window law: the kernel draws full samples
+    with LaplaceLocation.draw."""
+    cls = type(fam)
+    return type(cls.__name__ + "Full", (cls,), {"draw_window": lambda self, *args: None})()
+
+
+WINDOW_EVENTS = {
+    "mle": MleEvent(HALF(1.0)),
+    "psi": PsiEvent(HALF(1.0)),
+    "bayes": BayesEvent(HALF(1.0), PriorSpec.flat()),
+    "bayes-absolute": BayesEvent(HALF(1.0), PriorSpec.flat(), LossSpec.power(1.0)),
+    "mass": PosteriorMassEvent(HALF(1.0), 0.5),
+    "mle_vs_psi": DiscrepancyEvent("mle_vs_psi", 0.125),
+    "lr_vs_wald": DiscrepancyEvent("lr_vs_wald", 0.125),
+    "lr_vs_psi2": DiscrepancyEvent("lr_vs_psi2", 0.125),
+}
+
+
+@pytest.mark.parametrize("n", (257, 256))
+@pytest.mark.parametrize("case", sorted(WINDOW_EVENTS))
+def test_window_sample_reads_what_the_full_sample_reads(n, case):
+    # the window sample built from a full sample: the median, psi, the
+    # log-likelihood differences and every indicator are the full sample's
+    fam = get_family("laplace")
+    u = n ** (-1.0 / 3.0)
+    theta0 = np.array([0.1])
+    theta_gen = theta0 + 0.5 * u
+    comps = (theta_gen + 1.5 * u, theta_gen - 1.5 * u)
+    pt = rarevent._Point(
+        fam, WINDOW_EVENTS[case], theta0, theta_gen, n, u, np.array([0.5]), 0.5,
+        fisher_information(fam, theta0), 0, 0, comps,
+    )
+    reps = 300
+    thetas = np.stack(comps)[np.arange(reps) % 2]
+    obs = fam.draw(np.random.default_rng(n), thetas, n)
+    ordered = np.sort(obs, axis=1)
+    mid = ordered[:, [(n - 1) // 2, n // 2]]
+    lo, hi = (e[:, None] for e in rarevent._window(pt, mid))
+    inside = (obs >= lo) & (obs <= hi)
+    values = np.concatenate((lo - 1.0, hi + 1.0, np.where(inside, obs, lo)), axis=1)
+    counts = np.concatenate(((obs < lo).sum(1, keepdims=True), (obs > hi).sum(1, keepdims=True),
+                             inside), axis=1).astype(float)
+    window = rarevent._Draws(fam, n, None, values, counts, mid.mean(axis=1, keepdims=True))
+    full = rarevent._Draws(fam, n, None, obs)
+
+    est = full.mle()
+    np.testing.assert_allclose(window.mle(), est, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rarevent._psi_matrix(pt, window), rarevent._psi_matrix(pt, full),
+                               rtol=0, atol=1e-12)
+    grids = [np.stack((theta_gen,) + comps), est[:, None, :]]
+    if isinstance(pt.event, (BayesEvent, PosteriorMassEvent)):
+        grids.append(grid_nodes(default_posterior_box(fam, est, n, u), 256))
+    for grid in grids:
+        lw, lf = window.loglik(grid), full.loglik(grid)
+        ref_w, ref_f = window.loglik(theta_gen[None, :]), full.loglik(theta_gen[None, :])
+        np.testing.assert_allclose(lw - ref_w, lf - ref_f, rtol=0, atol=1e-12)
+    hits = rarevent._indicator(pt, window)
+    np.testing.assert_array_equal(hits, rarevent._indicator(pt, full))
+
+
+def _pooled(runs):
+    """Equal-size runs on seeds of their own as one estimate: the log of
+    their mean p and its stderr.  A single run's log p is skewed low when a
+    few weights dominate; the pooled mean is not."""
+    p = np.array([r.p_hat for r in runs])
+    se = np.array([r.stderr_log for r in runs])
+    return math.log(p.mean()), math.sqrt(np.sum((p * se) ** 2)) / (len(p) * p.mean())
+
+
+def test_laplace_events_never_draw_full_samples(monkeypatch):
+    fam = get_family("laplace")
+
+    def refuse(self, rng, thetas, n):
+        raise AssertionError("a Laplace chunk drew full samples")
+
+    monkeypatch.setattr(type(fam), "draw", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateWeightsWarning)
+        for event in WINDOW_EVENTS.values():
+            for n in (64, 65):
+                estimate_prob(event, fam, np.zeros(1), n, n ** (-1 / 3), n_reps=200, seed=1)
+
+
+@pytest.mark.parametrize("n", (257, 1025, 4097))
+def test_window_mle_tail_matches_binomial_tail(n):
+    fam = get_family("laplace")
+    u = n ** (-1.0 / 3.0)
+    event = MleEvent(HALF(1.0))
+    ex = estimate_prob(event, fam, np.zeros(1), n, u, method="exact")
+    runs = [estimate_prob(event, fam, np.zeros(1), n, u, n_reps=2000, seed=s) for s in range(8)]
+    log_p, se = _pooled(runs)
+    assert abs(log_p - ex.log_p) <= 3.0 * se
+
+
+@pytest.mark.parametrize("case, n", [
+    ("mle_vs_psi", 256), ("lr_vs_wald", 256), ("lr_vs_psi2", 256), ("mle", 256), ("bayes", 64),
+])
+def test_window_samples_match_full_samples(case, n):
+    # the same event on window samples and on full samples drawn with
+    # LaplaceLocation.draw, each with its own pilot ladder
+    fam = get_family("laplace")
+    event = WINDOW_EVENTS[case]
+    kw = dict(n_reps=2000, method="tilted")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateWeightsWarning)
+        w_runs, f_runs = (
+            [estimate_prob(event, path, np.zeros(1), n, n ** (-1 / 3), seed=s, **kw)
+             for s in range(8)]
+            for path in (fam, _full_samples(fam))
+        )
+    assert not any(r.upper_bound for r in w_runs + f_runs)
+    (lw, sw), (lf, sf) = _pooled(w_runs), _pooled(f_runs)
+    assert abs(lw - lf) <= 3.0 * math.hypot(sw, sf)
+
+
+class _CountingGenerator:
+    """A generator that adds up how many values each of its draws returns."""
+
+    def __init__(self, rng):
+        self.rng, self.values = rng, 0
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.values += np.size(out)
+            return out
+
+        return counted
+
+
+def test_window_replications_draw_a_fraction_of_n(monkeypatch):
+    # the benchmark's Laplace points at n = 4097: couplings on their pilot
+    # tilts and the half-space MLE; every chunk, pilot rungs included, draws
+    # under n/5 values per replication
+    fam = get_family("laplace")
+    n = 4097
+    chunks = []
+    rep_rng_ = rarevent.rep_rng
+
+    def counting(seed, point_index, stream):
+        chunks.append(_CountingGenerator(rep_rng_(seed, point_index, stream)))
+        return chunks[-1]
+
+    monkeypatch.setattr(rarevent, "rep_rng", counting)
+    monkeypatch.setattr(rarevent, "_draw_chunk", _recording_reps(rarevent._draw_chunk, chunks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateWeightsWarning)
+        for event in (WINDOW_EVENTS["mle_vs_psi"], WINDOW_EVENTS["lr_vs_wald"],
+                      WINDOW_EVENTS["lr_vs_psi2"], WINDOW_EVENTS["mle"]):
+            estimate_prob(event, fam, np.zeros(1), n, n ** (-1 / 3), n_reps=2000, seed=1001)
+    assert len(chunks) > 12
+    assert all(0 < g.values <= g.reps * n / 5 for g in chunks)
+
+
+def _recording_reps(draw_chunk, chunks):
+    def recorded(pt, start, stop, stream):
+        blocks = draw_chunk(pt, start, stop, stream)
+        first = next(blocks)  # the chunk's draws, from the generator just made
+        chunks[-1].reps = stop - start
+        yield first
+        yield from blocks
+
+    return recorded

@@ -87,6 +87,17 @@ def test_nearest_points():
     np.testing.assert_allclose(p, [-1.0, 0.0])
 
 
+def test_complement_box_returns_every_nearest_face():
+    # both ends of an axis, and faces of different axes, at the same distance
+    sym = RegionSpec("complement_box", d=1, lo=np.array([-1.0]), hi=np.array([1.0]))
+    assert sorted(float(p[0]) for p in sym.nearest_points()) == [-1.0, 1.0]
+    square = RegionSpec("complement_box", d=2, lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 3.0]))
+    got = sorted(tuple(p) for p in square.nearest_points())
+    assert got == [(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]
+    for p in square.nearest_points():
+        assert float(p @ p) == rate_functional(square)
+
+
 @settings(max_examples=60, deadline=None)
 @given(c=st.floats(-1.0, 3.0), x=st.floats(-4.0, 4.0))
 def test_half_space_rate_is_attained(c, x):
