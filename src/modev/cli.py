@@ -429,6 +429,14 @@ _HELP = {
 }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, which taskset and
+    cpusets narrow), or the host's count where the platform has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modev",
@@ -442,8 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            default=os.cpu_count() or 1,
-            help="worker processes (default: all cores; results do not depend on it)",
+            default=_usable_cpus(),
+            help="worker processes (default: the CPUs this process may run on;"
+            " results do not depend on it)",
         )
         p.add_argument("--seed-override", type=int, default=None, help="replace the config seed")
         p.add_argument("--out", default=".", help="output directory (default current)")

@@ -23,16 +23,18 @@ vectors are joined before the chunk's log-domain reductions.  Chunk bounds
 depend only on the sample size n and partial results are combined in chunk
 order, so output is byte-identical for any worker count.
 
-Worker pool: each call of estimate_prob owns one sampling.PointPool, which
-serves both the pilot ladder (below) and the main chunks and is closed when
-the call returns or raises.  No pool outlives its rate point.
+Worker processes: chunks fix the streams; sampling.run_chunks runs them in
+tasks that are groups of whole consecutive chunks, and starts processes only
+when the chunks after the first hold at least two tasks of values, judged by
+what the first chunk drew.  Results combine in chunk order, so no schedule
+choice reaches an artifact.
 
 Pilot ladder: an event with no region (the couplings) picks its tilt from
 seeded pilot runs at shifts b = 0, 0.5, ..., 4, each on its own stream.  The
 first rung whose event frequency reaches 0.2 wins, else the most frequent
-rung.  Rungs run in ladder order in waves as wide as the pool, and the ladder
-stops after the first wave that holds a winner; since no rung's result
-depends on another, the choice is the one the full ladder would make.
+rung.  Rungs run one at a time, in ladder order and in the calling process,
+and the ladder stops at the first rung that wins; no rung's result depends on
+another, so the choice is the one the full ladder would make.
 
 Statistic path: when the event's indicator and the tilt weights read the data
 only through a sufficient statistic (MLE, Bayes, posterior-mass and lr_vs_wald
@@ -79,7 +81,7 @@ from .estimators import (
     grid_nodes,
 )
 from .regions import RegionSpec, rate_functional
-from .sampling import PointPool, rep_rng, run_chunks
+from .sampling import rep_rng, run_chunks
 
 _PILOT_BASE = 2**33  # replication indices for pilot draws, disjoint from main runs
 _PILOT_REPS = 400
@@ -269,6 +271,16 @@ class _Draws:
             return loglik_grid(self.fam, self.obs, thetas, self.counts)
         return self.fam.loglik_from_stats(self.stats, self.n, thetas)
 
+    def values(self) -> int:
+        """How many values the block drew: its statistics, its sample points,
+        or the weighted points of its window samples (padding left out, so
+        the count does not depend on the row blocks)."""
+        if self.obs is None:
+            return self.stats.size
+        if self.counts is None:
+            return self.obs.size
+        return int(np.count_nonzero(self.counts))
+
     def mle(self) -> np.ndarray:
         if self.stats is not None:
             return self.fam.mle_from_stats(self.stats, self.n)
@@ -429,6 +441,9 @@ def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
 
 
 def _sim_chunk(start, stop, pt: _Point):
+    """The chunk's log-domain sums (hits, lw_hit, l2w_hit, lw_all, l2w_all),
+    then how many values it drew (_Draws.values), which run_chunks sizes its
+    tasks by."""
     components = pt.components
     k_count = len(components)
     # only sampling from theta_gen itself (crude runs, the pilot at b = 0)
@@ -436,7 +451,9 @@ def _sim_chunk(start, stop, pt: _Point):
     weighted = not (k_count == 1 and np.array_equal(components[0], pt.theta_gen))
     grid = np.stack((pt.theta_gen,) + components)
     lls, inds = [], []
+    drawn = 0
     for draws in _draw_chunk(pt, start, stop, start):
+        drawn += draws.values()
         if weighted:
             lls.append(draws.loglik(grid))
         inds.append(np.asarray(_indicator(pt, draws), dtype=bool))
@@ -457,7 +474,7 @@ def _sim_chunk(start, stop, pt: _Point):
     l2w_hit = float(logsumexp(2.0 * logw[ind])) if hits else neg_inf
     lw_all = float(logsumexp(logw))
     l2w_all = float(logsumexp(2.0 * logw))
-    return (hits, lw_hit, l2w_hit, lw_all, l2w_all)
+    return (hits, lw_hit, l2w_hit, lw_all, l2w_all, drawn)
 
 
 def _pilot_chunk(start, stop, pt: _Point):
@@ -492,27 +509,24 @@ def _deviation_tilts(fam, region, theta_gen, u_n, i_inv_sqrt) -> list[np.ndarray
     return uniq
 
 
-def _pilot_tilts(pt: _Point, pool: PointPool):
-    """Seeded pilot over a ladder of standardized shifts; returns the mixture
-    components and the chosen shift size for the method tag."""
+def _pilot_tilts(pt: _Point):
+    """Seeded pilot over a ladder of standardized shifts, run rung by rung in
+    this process up to the first winner; returns the mixture components and
+    the chosen shift size for the method tag."""
     fam, theta_gen, u_n, i_inv_sqrt = pt.fam, pt.theta_gen, pt.u_n, pt.fisher.inv_sqrt
     e1 = np.zeros(fam.d)
     e1[0] = 1.0
-    rungs = []  # the pilot point of each rung, None where it leaves the domain
+    freqs = []  # -1 marks a rung outside the domain
     for bi, b_try in enumerate(_PILOT_B_GRID):
         comp = theta_gen + u_n * b_try * (i_inv_sqrt @ e1)
+        if not fam.theta_domain.contains(comp):
+            freqs.append(-1.0)
+            continue
         pilot = replace(pt, components=(comp,), point_index=pt.point_index + 1000 * (bi + 1))
-        rungs.append(pilot if fam.theta_domain.contains(comp) else None)
-    freqs = []  # -1 marks a rung outside the domain
-    for first in range(0, len(rungs), pool.workers):
-        wave = rungs[first : first + pool.workers]
-        hits = iter(pool.map(_pilot_chunk, [(0, _PILOT_REPS, p) for p in wave if p is not None]))
-        freqs += [-1.0 if p is None else next(hits) / _PILOT_REPS for p in wave]
-        if max(freqs) >= _PILOT_TARGET_FREQ:
+        freqs.append(_pilot_chunk(0, _PILOT_REPS, pilot) / _PILOT_REPS)
+        if freqs[-1] >= _PILOT_TARGET_FREQ:
             break
-    freqs_arr = np.array(freqs)
-    ok = np.flatnonzero(freqs_arr >= _PILOT_TARGET_FREQ)
-    bi = int(ok[0]) if ok.size else int(np.argmax(freqs_arr))
+    bi = len(freqs) - 1 if freqs[-1] >= _PILOT_TARGET_FREQ else int(np.argmax(freqs))
     b_star = _PILOT_B_GRID[bi]
     if b_star == 0.0:
         return [theta_gen.copy()], b_star
@@ -706,18 +720,17 @@ def estimate_prob(
     region = _event_region(event)
 
     method_tag = method
-    with PointPool(workers) as pool:
-        if method == "crude":
-            _guard_crude(event, fam, theta0, n, u_n, b, eps, region, seed)
-            components = [theta_gen.copy()]
-        elif region is not None:
-            components = _deviation_tilts(fam, region, theta_gen, u_n, fisher.inv_sqrt)
-        else:
-            components, b_star = _pilot_tilts(pt, pool)
-            method_tag = f"tilted(pilot-b={b_star:g})"
+    if method == "crude":
+        _guard_crude(event, fam, theta0, n, u_n, b, eps, region, seed)
+        components = [theta_gen.copy()]
+    elif region is not None:
+        components = _deviation_tilts(fam, region, theta_gen, u_n, fisher.inv_sqrt)
+    else:
+        components, b_star = _pilot_tilts(pt)
+        method_tag = f"tilted(pilot-b={b_star:g})"
 
-        pt = replace(pt, components=tuple(components))
-        partials = run_chunks(_sim_chunk, n_reps, n, pool, pt)
+    pt = replace(pt, components=tuple(components))
+    partials = run_chunks(_sim_chunk, n_reps, n, workers, pt)
 
     hits = sum(p[0] for p in partials)
     lw_hit = float(logsumexp(np.array([p[1] for p in partials])))

@@ -1,5 +1,4 @@
-"""Chunk RNG streams, the worker pool of one rate point, and
-worker-count-invariant chunk execution.
+"""Chunk RNG streams and worker-count-invariant chunk execution.
 
 Replications are grouped into chunks whose bounds are a function of the
 sample size n alone.  Each chunk owns one generator keyed by (master_seed,
@@ -8,9 +7,12 @@ replications from it in order, so results depend only on those integers and
 never on execution order.  Partial results are combined in chunk-index order.
 Together these make the output byte-identical for any worker count.
 
-One PointPool serves one rate point: its pilot waves and its main chunks.
-Its processes start on the first stage with more than one task and stop when
-the point is done, so workers never carry heap from one point to the next.
+Chunks fix the streams; tasks only schedule them.  A task is a run of whole
+consecutive chunks.  The first chunk always runs in the calling process, and
+worker processes start only when, at the first chunk's values per
+replication, the other chunks hold at least two tasks of
+_TARGET_DRAWS_PER_TASK values.  Results come back one per chunk, in chunk
+order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-_TARGET_DRAWS_PER_CHUNK = 4_000_000
+_TARGET_DRAWS_PER_CHUNK = 4_000_000  # values per full-sample chunk
+_TARGET_DRAWS_PER_TASK = 1_000_000  # values per task sent to a worker process
 _MIN_CHUNK = 128
 _MAX_CHUNK = 8192
 
@@ -31,7 +34,10 @@ def rep_rng(master_seed: int, point_index: int, rep_index: int) -> np.random.Gen
 
 
 def chunk_size(n: int) -> int:
-    """Replications per chunk; depends only on the per-replication draw count."""
+    """Replications per chunk, a function of the sample size n alone: a chunk
+    of full samples holds about _TARGET_DRAWS_PER_CHUNK observations.  Chunks
+    that draw fewer values per replication keep the same bounds (and so the
+    same streams); run_chunks groups them into tasks by the values they draw."""
     return max(_MIN_CHUNK, min(_MAX_CHUNK, int(_TARGET_DRAWS_PER_CHUNK // max(n, 1))))
 
 
@@ -39,42 +45,53 @@ def chunk_bounds(n_reps: int, size: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, n_reps)) for s in range(0, n_reps, size)]
 
 
-class PointPool:
-    """Up to `workers` processes for one rate point, started on first need.
+def _run_task(fn, bounds: list, payload) -> list:
+    return [fn(s, e, payload) for s, e in bounds]
 
-    Use it as a context manager: leaving the block stops the processes.
+
+def _tasks(bounds: list, drawn: int, workers: int) -> list:
+    """The chunks after the first, as tasks for a process pool: runs of whole
+    consecutive chunks.  Empty when they should run in this process instead.
+
+    `drawn` is what the first chunk drew.  At its rate per replication the
+    other chunks hold `full` tasks of _TARGET_DRAWS_PER_TASK values, but no
+    more than they have chunks of full size, so a short tail alone never
+    starts a pool; a pool needs at least two.  The chunks are then spread
+    evenly, `per` or `per + 1` a task, over at least one task for each
+    process in each round the pool needs, so that no process idles while
+    another runs a last, longer task.
     """
-
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
-        self._executor = None
-
-    def map(self, fn, tasks: list) -> list:
-        """[fn(*task) for task in tasks], in task order.
-
-        Runs in this process when there is one worker or at most one task;
-        otherwise fn must be a module-level function (it is pickled).
-        """
-        if self.workers == 1 or len(tasks) <= 1:
-            return [fn(*task) for task in tasks]
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        futures = [self._executor.submit(fn, *task) for task in tasks]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-            self._executor = None
-
-    def __enter__(self) -> PointPool:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    (start, stop), rest = bounds[0], bounds[1:]
+    values = drawn * (bounds[-1][1] - stop) // (stop - start)
+    whole = sum(e - s == stop - start for s, e in rest)
+    full = min(whole, values // _TARGET_DRAWS_PER_TASK)
+    if workers < 2 or full < 2:
+        return []
+    procs = min(workers, full)
+    per = max(1, len(rest) // (-(-full // procs) * procs))
+    k = len(rest) // per
+    cuts = [len(rest) * i // k for i in range(k + 1)]
+    return [rest[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def run_chunks(fn, n_reps: int, n: int, pool: PointPool, payload) -> list:
-    """Run fn(start, stop, payload) over fixed chunks on the point's pool;
-    results in chunk order."""
-    return pool.map(fn, [(s, e, payload) for s, e in chunk_bounds(n_reps, chunk_size(n))])
+def run_chunks(fn, n_reps: int, n: int, workers: int, payload) -> list:
+    """[fn(start, stop, payload) for each chunk], in chunk order.
+
+    fn returns a tuple whose last item counts the values the chunk drew.  The
+    first chunk runs here; the rest run here too unless _tasks groups them
+    for a pool of up to `workers` processes (fn is then pickled, so it must be
+    a module-level function).
+    """
+    bounds = chunk_bounds(n_reps, chunk_size(n))
+    results = [fn(*bounds[0], payload)]
+    tasks = _tasks(bounds, results[0][-1], workers)
+    if not tasks:
+        return results + _run_task(fn, bounds[1:], payload)
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    try:
+        futures = [pool.submit(_run_task, fn, task, payload) for task in tasks]
+        for f in futures:
+            results += f.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results

@@ -109,7 +109,7 @@ def test_worker_flag_does_not_change_artifacts(tmp_path):
 
 def test_worker_flag_does_not_change_pilot_tilted_artifacts(tmp_path):
     # Laplace couplings pick their tilt on the pilot ladder, whose rungs run
-    # in waves as wide as the worker count
+    # one at a time in this process whatever the worker count
     cfg = {
         "family": "laplace", "delta": 0.125, "seed": 3,
         "schedule": {"n_values": [65, 257]}, "budget": {"n_reps": 300, "min_reps": 100},

@@ -40,9 +40,8 @@ from modev import (
     ldp_curve,
     rep_rng,
 )
-from modev import rarevent
+from modev import rarevent, sampling
 from modev.estimators import default_posterior_box, grid_nodes
-from modev.sampling import PointPool
 
 HALF = lambda c: RegionSpec("half_space", d=1, a=np.array([1.0]), c=c)
 
@@ -401,6 +400,96 @@ def test_worker_count_leaves_results_bitwise_identical():
     assert r1.stderr_log == r3.stderr_log
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool run_chunks starts."""
+    sizes = []
+    real = sampling.ProcessPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", spy)
+    return sizes
+
+
+POOL_CASES = {
+    # window samples, about 440k values in the first chunk of 1952
+    # replications: the other ten chunks hold about 4.1M values, four tasks
+    "laplace-lr_vs_wald": ("laplace", DiscrepancyEvent("lr_vs_wald", 0.125), 2049,
+                           2049 ** (-1 / 3), 20_000, 4),
+    # full samples, 4M values a chunk: four chunks, three tasks of one
+    "gaussian-psi": ("gaussian", PsiEvent(HALF(1.0)), 4000, 0.05, 4000, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_pool_path_leaves_results_bitwise_identical(pool_sizes, case):
+    family, event, n, u, reps, tasks = POOL_CASES[case]
+    runs = {}
+    for w in (1, 2, 3):
+        pool_sizes.clear()
+        runs[w] = estimate_prob(event, get_family(family), np.zeros(1), n, u,
+                                n_reps=reps, seed=4, workers=w)
+        assert pool_sizes == ([] if w == 1 else [min(w, tasks)])
+    assert runs[1].p_hat > 0
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def test_small_points_start_no_process(pool_sizes):
+    # the benchmark's Laplace equivalence config: window samples of at most
+    # about 470 values a replication and one chunk a point, but at n = 4097
+    # chunks of 976, 976 and 48 replications, whose short tail starts no pool
+    schedule = DeviationSchedule((257, 1025, 4097), 1.0 / 3.0)
+    equivalence_tail(get_family("laplace"), [0.0], schedule, 0.125,
+                     Budget(n_reps=2000, min_reps=100), seed=1, workers=2)
+    # statistic path, one value a replication: the twelve chunks after the
+    # first hold 92k values
+    estimate_prob(MleEvent(HALF(1.0)), get_family("gaussian"), np.zeros(1), 400, 400 ** -0.25,
+                  n_reps=100_000, seed=1, workers=2)
+    # full samples with the same short tail: 4.2M values after the first
+    # chunk, but one chunk of full size
+    estimate_prob(PsiEvent(HALF(1.0)), get_family("gaussian"), np.zeros(1), 4097,
+                  4097 ** -0.25, n_reps=2000, seed=0, workers=2)
+    assert pool_sizes == []
+
+
+def _fake_chunk(start, stop, drawn):
+    return (start, stop, drawn)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_reps, drawn, tasks", [
+    (3000, 10**6, 0),  # one chunk: 4000 replications a chunk at n = 1000
+    (40_000, 0, 0),  # the first chunk draws nothing: the other nine run here
+    (40_000, 4 * 10**5, 3),  # nine more chunks, 3.6M values: three tasks of values
+])
+def test_run_chunks_returns_one_result_per_chunk_in_order(pool_sizes, workers, n_reps, drawn,
+                                                          tasks):
+    got = sampling.run_chunks(_fake_chunk, n_reps, 1000, workers, drawn)
+    assert got == [(s, e, drawn) for s, e in chunk_bounds(n_reps, 4000)]
+    assert pool_sizes == ([min(workers, tasks)] if workers > 1 and tasks > 1 else [])
+
+
+@pytest.mark.parametrize("n_reps, workers, drawn, sizes", [
+    (14_000, 1, 4 * 10**6, []),  # one worker: everything here
+    (14_000, 2, 10**5, []),  # 1.3M values after the first chunk: no pool
+    (14_000, 2, 25 * 10**4, [3, 3, 3, 4]),  # three tasks of values on two processes:
+    (14_000, 3, 25 * 10**4, [4, 4, 5]),  # two rounds there, one here
+    (14_000, 2, 10**6, [1] * 13),  # never fewer than a chunk a task
+    (14_000, 4, 16 * 10**4, [6, 7]),  # two tasks of values cap the pool at two processes
+    (2500, 2, 4 * 10**6, []),  # chunks of 1000, 1000 and 500: the tail starts no pool
+])
+def test_tasks_spread_chunks_evenly_over_rounds(n_reps, workers, drawn, sizes):
+    # chunks of 1000 replications; `drawn` counts the first chunk's values
+    bounds = chunk_bounds(n_reps, 1000)
+    tasks = sampling._tasks(bounds, drawn, workers)
+    assert [len(t) for t in tasks] == sizes
+    assert sum(tasks, []) == (bounds[1:] if tasks else [])
+
+
 def test_chunk_size_bounds():
     assert chunk_size(1) == 8192
     assert chunk_size(1000) == 4000
@@ -522,7 +611,7 @@ def test_pilot_early_exit_matches_full_ladder(monkeypatch, family, theta0, delta
             ran.clear()
             with monkeypatch.context() as m:
                 m.setattr(rarevent, "_pilot_chunk", counted)
-                got, b_star = rarevent._pilot_tilts(pt, PointPool(1))
+                got, b_star = rarevent._pilot_tilts(pt)
             assert b_star == rarevent._PILOT_B_GRID[bi]
             assert len(got) == len(comps)
             for g, c in zip(got, comps):
@@ -550,15 +639,35 @@ def test_pilot_runs_every_rung_when_none_qualifies(monkeypatch):
 
     monkeypatch.setattr(rarevent, "_pilot_chunk", fake)
     pt = _coupling_point(get_family("laplace"), "lr_vs_wald", [0.0], 257, 0)
-    comps, b_star = rarevent._pilot_tilts(pt, PointPool(1))
+    comps, b_star = rarevent._pilot_tilts(pt)
     assert ran == list(range(9))
     assert b_star == rarevent._PILOT_B_GRID[2]
     assert len(comps) == 2
 
 
+def test_pilot_runs_rungs_up_to_the_winner(monkeypatch):
+    # the winner is rung 2 (b = 1): waves of two rungs would run rung 3 too
+    fam = get_family("laplace")
+    pt = _coupling_point(fam, "lr_vs_wald", [0.0], 257, 0)
+    bi, qualified, _, _ = _full_ladder(pt)
+    assert (bi, qualified) == (2, True)
+    ran = []
+    pilot_chunk = rarevent._pilot_chunk
+
+    def counted(start, stop, rung):
+        ran.append(rung.point_index)
+        return pilot_chunk(start, stop, rung)
+
+    monkeypatch.setattr(rarevent, "_pilot_chunk", counted)
+    est = estimate_prob(pt.event, fam, pt.theta0, pt.n, pt.u_n, n_reps=500, seed=pt.seed,
+                        point_index=pt.point_index, workers=2)
+    assert est.method == "tilted(pilot-b=1)"
+    assert ran == [pt.point_index + 1000 * (k + 1) for k in range(bi + 1)]
+
+
 def test_worker_count_leaves_pilot_tilted_results_bitwise_identical():
-    # chunk size 1952 at n = 2049: two main chunks; the pilot stops at
-    # b = 1.5 (rung 3), in the second wave at two and at three workers
+    # chunk size 1952 at n = 2049: two main chunks, too little work for a
+    # process pool at any worker count; the pilot stops at b = 1.5 (rung 3)
     fam = get_family("laplace")
     event = DiscrepancyEvent("lr_vs_wald", 0.125)
     n = 2049
