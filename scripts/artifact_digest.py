@@ -88,6 +88,35 @@ for _name, _prior in (("flat", {"kind": "flat"}),
         "family": "gaussian", "theta0": [0.0], "seed": 11, "region": HALF, "prior": _prior,
         "schedule": SCHEDULE, "budget": BUDGET, "grid_dump_resolution": 64,
     }))
+# the exact tail oracles: Bernoulli atom sums (psi with theta0 != 1/2 and an
+# eps that leaves the truncation inactive at n = 64 and 256), the exponential
+# Gamma tail, the Laplace median at odd n and the Gaussian posterior mass
+for _name, _family, _theta0, _extra in (
+    ("exact-bernoulli-mle", "bernoulli", [0.3], {"event": "mle"}),
+    ("exact-bernoulli-psi", "bernoulli", [0.4], {"event": "psi", "eps": 1.0}),
+    ("exact-exponential-mle", "exponential", [1.0], {"event": "mle"}),
+    ("exact-laplace-mle-odd", "laplace", [0.0],
+     {"event": "mle", "schedule": {**SCHEDULE, "n_values": [65, 257]}}),
+):
+    RUNS.append(("ldp-curve", _name, {
+        "family": _family, "theta0": _theta0, "seed": 5, "region": HALF, "method": "exact",
+        "schedule": SCHEDULE, "budget": BUDGET, **_extra,
+    }))
+RUNS.append(("posterior-concentration", "exact", {
+    "family": "gaussian", "theta0": [0.0], "seed": 11, "region": HALF, "method": "exact",
+    "schedule": SCHEDULE, "budget": BUDGET, "grid_dump_resolution": 64,
+}))
+# crude sampling passes the guard that predicts its probability from the exact
+# tail; a near half-space gives it hits at this budget
+RUNS.append(("ldp-curve", "crude-gaussian-mle", {
+    "family": "gaussian", "theta0": [0.0], "seed": 5, "region": {**HALF, "c": 0.5},
+    "event": "mle", "method": "crude", "schedule": SCHEDULE, "budget": BUDGET,
+}))
+# fixed-u curves, one per u, with the point indices 100000 j + i
+RUNS.append(("bahadur-sweep", "bernoulli-mle", {
+    "family": "bernoulli", "theta0": [0.5], "seed": 7, "event": "mle", "region": HALF,
+    "u_values": [0.3, 0.2], "n_large": 1024, "budget": BUDGET,
+}))
 RUNS.append(("check-conditions", "bernoulli", {"family": "bernoulli", "theta0": [0.5]}))
 # the truncated moments B and C1b on a half-line and a planar support
 for _family, _theta0 in (("exponential", [1.0]), ("gaussian2", [0.0, 0.0])):

@@ -54,6 +54,7 @@ from .families import (
     fisher_information,
     hellinger_affinity,
     integrate_support,
+    product_grid,
     score,
 )
 
@@ -386,14 +387,9 @@ def check_a0(fam: ParametricFamily, compact: Box, delta: float) -> ConditionRepo
         raise GridError("compact must lie inside the parameter domain")
 
     step = delta / 10.0
-    axes = [
-        np.arange(compact.lo[i], compact.hi[i] + step / 2, step) for i in range(fam.d)
-    ]
-    if fam.d == 1:
-        thetas = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        thetas = np.stack([m.ravel() for m in mesh], axis=-1)
+    thetas = product_grid(
+        [np.arange(compact.lo[i], compact.hi[i] + step / 2, step) for i in range(fam.d)]
+    )
 
     margin = 1e-9 * np.max(fam.theta_domain.width())
     mag_factors = np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.0])
@@ -707,15 +703,10 @@ def check_d(fam: ParametricFamily, m: float, bound: float = DEFAULT_BOUND) -> Co
 
     nodes_per_axis = 17 if fam.d == 1 else 5
     margin = 1e-9 * float(np.max(fam.theta_domain.width()))
-    axes = [
+    thetas = product_grid([
         np.linspace(fam.theta_domain.lo[i] + margin, fam.theta_domain.hi[i] - margin, nodes_per_axis)
         for i in range(fam.d)
-    ]
-    if fam.d == 1:
-        thetas = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        thetas = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    ])
 
     worst, worst_theta = 0.0, thetas[0]
     for theta in thetas[: 1 if fam.location else None]:

@@ -588,8 +588,14 @@ def tensor_rule(order: int, half: float, panels: int = 1) -> tuple[np.ndarray, n
     mids = h * (2.0 * np.arange(panels) + 1.0 - panels)
     y = (mids[:, None] + nodes * h).ravel()
     w = np.tile(wts * h, panels)
-    offsets = np.stack(np.meshgrid(y, y, indexing="ij"), axis=-1).reshape(-1, 2)
-    return offsets, (w[:, None] * w[None, :]).reshape(-1)
+    return product_grid([y, y]), (w[:, None] * w[None, :]).reshape(-1)
+
+
+def product_grid(axes) -> np.ndarray:
+    """The (N, len(axes)) points of the product of 1-d axes, axis 0 varying
+    slowest; one axis gives its points as a column."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def integrate_support(fam: ParametricFamily, fn, breaks=()) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
-from .families import FisherInfo, ParametricFamily, SampleBatch, fisher_information, phi_matrix
+from .families import FisherInfo, ParametricFamily, SampleBatch, fisher_information, product_grid
 
 # observation-by-grid-point log densities held at once by sup_lan_residual
 _SUP_BLOCK_VALUES = 2**18
@@ -66,10 +66,15 @@ class LanDecomposition:
 
 
 def truncated_score(fam: ParametricFamily, theta0, policy: TruncationPolicy, x) -> np.ndarray:
-    """phi(x) where |phi(x)| < eps/u_n, else 0; shaped (n, d)."""
-    phis = phi_matrix(fam, np.asarray(x, dtype=float), theta0)
-    norms = np.linalg.norm(phis, axis=-1)
-    return np.where((norms < policy.threshold)[:, None], phis, 0.0)
+    """phi(x) where |phi(x)| < eps/u_n, else 0; shaped x's sample axes + (d,):
+    (n, d) for one sample (n[, obs_dim]), (R, n, d) for a stack of R, (d,)
+    for one observation."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    phi = fam.score_phi(np.asarray(x, dtype=float), theta0)
+    # truncated in place, with one temporary the size of the sample axes
+    sq = np.asarray(np.einsum("...k,...k->...", phi, phi))  # 0-d for one observation
+    phi[np.sqrt(sq, out=sq) >= policy.threshold] = 0.0
+    return phi
 
 
 def _sum_phi_eps(fam, sample: SampleBatch, theta0, policy) -> np.ndarray:
@@ -136,8 +141,9 @@ def lan_residual(
     b = np.atleast_1d(np.asarray(b, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     s_xi = loglr_sum(fam, sample, theta0, b, u, policy.u_n)
-    z = zeta_n(fam, sample, theta0, policy, u, fisher)
-    psi = psi_n(fam, sample, theta0, policy, fisher)
+    s_eps = _sum_phi_eps(fam, sample, theta0, policy)
+    z = _zeta(u, s_eps, sample.n, fisher.matrix)
+    psi = fisher.inv_sqrt @ s_eps / np.sqrt(sample.n)
     return LanDecomposition(b=b, u=u, sum_xi=s_xi, zeta=z, psi=psi, residual=s_xi - z)
 
 
@@ -148,13 +154,8 @@ def _ball_grid(d: int, radius: float, step: float) -> np.ndarray:
     kmax = int(np.floor(radius / step))
     while kmax * step >= radius:
         kmax -= 1
-    ks = np.arange(-kmax, kmax + 1)
-    if d == 1:
-        return (ks * step)[:, None]
-    mesh = np.meshgrid(*([ks * step] * d), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = np.einsum("ij,ij->i", pts, pts) < radius**2
-    return pts[keep]
+    pts = product_grid([np.arange(-kmax, kmax + 1) * step] * d)
+    return pts[np.einsum("ij,ij->i", pts, pts) < radius**2]
 
 
 def sup_lan_residual(

@@ -72,6 +72,7 @@ from .errors import (
     TiltDomainError,
 )
 from .families import FisherInfo, ParametricFamily, fisher_information, loglik_grid
+from .lan import TruncationPolicy, truncated_score
 from .estimators import (
     LossSpec,
     PriorSpec,
@@ -228,7 +229,8 @@ def _event_region(event) -> Optional[RegionSpec]:
 
 @dataclass(frozen=True)
 class _Point:
-    """One schedule point: everything its chunks need (pickled into workers).
+    """One schedule point: everything its exact tail, crude guard and chunks
+    read (pickled into workers).
 
     components are the parameters the replications are drawn from, one picked
     uniformly per replication; point_index keys the chunk streams.
@@ -294,10 +296,7 @@ class _Draws:
 
 def _psi_matrix(pt: _Point, draws: _Draws) -> np.ndarray:
     """psi = n^{-1/2} I^{-1/2} sum of truncated phi, per replication; (R, d)."""
-    phi = pt.fam.score_phi(draws.obs, pt.theta0)
-    # truncated in place, with one temporary the size of the row block
-    sq = np.einsum("...k,...k->...", phi, phi)
-    phi[np.sqrt(sq, out=sq) >= pt.eps / pt.u_n] = 0.0
+    phi = truncated_score(pt.fam, pt.theta0, TruncationPolicy(pt.eps, pt.u_n), draws.obs)
     if draws.counts is None:
         total = phi.sum(axis=1)
     else:
@@ -581,15 +580,15 @@ def _gaussian_region_logtail(region: RegionSpec, scale: float) -> float:
     raise DomainError(f"no exact tail for region shape {region.shape!r}")
 
 
-def _exact_tail(event, fam, theta0, n, u_n, b, eps, seed) -> ProbEstimate:
-    """Closed-form tail where the estimator itself has a closed form.
-
-    Gaussian families: all deviation events reduce to Gaussian region tails
-    (posterior box truncation affects them below double precision; the
-    score truncation is inactive at these scales by assumption).
-    Bernoulli / exponential estimator events: exact discrete / Gamma tails.
-    """
-    theta_gen = theta0 + u_n * b
+def _exact_tail(pt: _Point) -> float:
+    """log p in closed form, where the estimator has one: gaussian and
+    gaussian2 MLE, psi and flat-prior Bayes events as Gaussian region tails
+    (posterior box truncation acts below double precision; the score
+    truncation is inactive at these scales by assumption); posterior mass on
+    1-d Gaussian, flat prior, half-space; Bernoulli MLE, and psi while the
+    truncation cannot bind, as binomial atom sums; exponential, and odd-n
+    Laplace, MLE on half-spaces.  Anything else raises DomainError."""
+    event, fam, n, u_n = pt.event, pt.fam, pt.n, pt.u_n
     region = _event_region(event)
     if region is None:
         raise DomainError("no exact tail oracle for discrepancy events")
@@ -608,65 +607,48 @@ def _exact_tail(event, fam, theta0, n, u_n, b, eps, seed) -> ProbEstimate:
         if not (fam.name == "gaussian" and event.prior.kind == "flat" and region.shape == "half_space"):
             raise DomainError("exact posterior-mass tails need Gaussian, flat prior, half-space")
         z = float(sps.norm.isf(event.threshold))
-        arg = math.sqrt(n) * u_n * region.c - z
-        log_p = float(sps.norm.logsf(arg))
-        return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
+        return float(sps.norm.logsf(math.sqrt(n) * u_n * region.c - z))
 
     if fam.name in ("gaussian", "gaussian2"):
-        log_p = _gaussian_region_logtail(region, math.sqrt(n) * u_n)
-        return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
+        return _gaussian_region_logtail(region, math.sqrt(n) * u_n)
 
     if fam.name == "bernoulli" and isinstance(event, (MleEvent, PsiEvent)):
         if isinstance(event, PsiEvent):
-            t0 = float(theta0[0])
+            t0 = float(pt.theta0[0])
             phimax = max(t0, 1.0 - t0) / (2.0 * t0 * (1.0 - t0))
-            if eps / u_n <= phimax:
+            if pt.eps / u_n <= phimax:
                 raise DomainError("truncation active: no exact tail for the truncated score")
-        # Sum pmf atoms through the same float pipeline the simulation kernel
-        # applies; a sf/floor shortcut can put a boundary atom on the wrong
-        # side of the open region, and deep in the tail one atom is a large
-        # fraction of the mass.
-        fisher = fisher_information(fam, theta0)
+        # the kernel's own indicator on each atom k = 0..n, as the weighted
+        # sample of k ones and n - k zeros: a sf/floor shortcut can put a
+        # boundary atom on the wrong side of the open region, and deep in
+        # the tail one atom is a large fraction of the mass
         ks = np.arange(n + 1, dtype=float)
-        if isinstance(event, MleEvent):
-            est = (ks / n)[:, None]
-            w = (est - theta_gen[None, :]) @ fisher.sqrt.T / u_n
-        else:
-            phi1 = float(fam.score_phi(np.array(1.0), theta0)[0])
-            phi0 = float(fam.score_phi(np.array(0.0), theta0)[0])
-            s = (ks * phi1 + (n - ks) * phi0)[:, None]
-            psi = (s @ fisher.inv_sqrt.T) / math.sqrt(n)
-            w = 2.0 * psi / (math.sqrt(n) * u_n) - (fisher.sqrt @ b)[None, :]
-        mask = np.asarray(event.region.contains(w), dtype=bool)
+        samples = np.tile([1.0, 0.0], (n + 1, 1))
+        atoms = _Draws(fam, n, ks[:, None], samples, np.stack((ks, n - ks), axis=1))
+        mask = np.asarray(_indicator(pt, atoms), dtype=bool)
         if not mask.any():
-            return ProbEstimate(0.0, -math.inf, 0.0, "exact", 0, seed)
-        log_p = float(logsumexp(sps.binom.logpmf(ks[mask], n, float(theta_gen[0]))))
-        return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
+            return -math.inf
+        return float(logsumexp(sps.binom.logpmf(ks[mask], n, float(pt.theta_gen[0]))))
 
     if fam.name == "laplace" and isinstance(event, MleEvent) and region.shape == "half_space":
         # by symmetry either direction asks whether the median passes theta_gen
         # by s, which it does when at least (n + 1) / 2 of the n draws do
         if n % 2 == 0:
             raise DomainError("the Laplace median tail is closed-form for odd n only")
-        s = u_n * region.c / float(fisher_information(fam, theta0).sqrt[0, 0])
+        s = u_n * region.c / float(pt.fisher.sqrt[0, 0])
         q = 0.5 * math.exp(-s) if s >= 0 else 1.0 - 0.5 * math.exp(s)
-        log_p = float(sps.binom.logsf((n - 1) // 2, n, q))
-        return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
+        return float(sps.binom.logsf((n - 1) // 2, n, q))
 
     if fam.name == "exponential" and isinstance(event, MleEvent) and region.shape == "half_space":
-        t0 = float(theta0[0])
-        tg = float(theta_gen[0])
+        t0 = float(pt.theta0[0])
+        tg = float(pt.theta_gen[0])
         a = float(region.a[0])
         rate_thr = tg + u_n * region.c * t0 / a  # estimate 1/xbar crosses this
+        if rate_thr <= 0:
+            return 0.0 if a > 0 else -math.inf
         if a > 0:
-            if rate_thr <= 0:
-                return ProbEstimate(1.0, 0.0, 0.0, "exact", 0, seed)
-            log_p = float(sps.gamma.logcdf(n / rate_thr, a=n, scale=1.0 / tg))
-        else:
-            if rate_thr <= 0:
-                return ProbEstimate(0.0, -math.inf, 0.0, "exact", 0, seed)
-            log_p = float(sps.gamma.logsf(n / rate_thr, a=n, scale=1.0 / tg))
-        return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
+            return float(sps.gamma.logcdf(n / rate_thr, a=n, scale=1.0 / tg))
+        return float(sps.gamma.logsf(n / rate_thr, a=n, scale=1.0 / tg))
 
     raise DomainError(f"no exact tail oracle for family {fam.name!r} with this event")
 
@@ -709,19 +691,19 @@ def estimate_prob(
     theta_gen = theta0 + u_n * b
     if not fam.theta_domain.contains(theta_gen):
         raise DomainError(f"theta_gen {theta_gen.tolist()} outside the parameter domain")
+    fisher = fisher_information(fam, theta0)
+    pt = _Point(fam, event, theta0, theta_gen, n, u_n, b, eps, fisher, seed, point_index)
 
     if method == "exact":
-        return _exact_tail(event, fam, theta0, n, u_n, b, eps, seed)
+        log_p = _exact_tail(pt)
+        return ProbEstimate(math.exp(log_p), log_p, 0.0, "exact", 0, seed)
     if method not in ("crude", "tilted"):
         raise GridError(f"unknown method {method!r}")
 
-    fisher = fisher_information(fam, theta0)
-    pt = _Point(fam, event, theta0, theta_gen, n, u_n, b, eps, fisher, seed, point_index)
     region = _event_region(event)
-
     method_tag = method
     if method == "crude":
-        _guard_crude(event, fam, theta0, n, u_n, b, eps, region, seed)
+        _guard_crude(pt)
         components = [theta_gen.copy()]
     elif region is not None:
         components = _deviation_tilts(fam, region, theta_gen, u_n, fisher.inv_sqrt)
@@ -763,16 +745,17 @@ def estimate_prob(
     return ProbEstimate(math.exp(log_p), log_p, stderr_log, method_tag, n_reps, seed)
 
 
-def _guard_crude(event, fam, theta0, n, u_n, b, eps, region, seed):
+def _guard_crude(pt: _Point):
     """Crude sampling cannot see probabilities far below 1/n_reps; refuse
-    configurations whose predicted probability is below 1e-12."""
-    log_pred = None
+    points whose exact tail, else region rate, predicts p below 1e-12."""
     try:
-        log_pred = _exact_tail(event, fam, theta0, n, u_n, b, eps, seed).log_p
+        log_pred = _exact_tail(pt)
     except DomainError:
-        if region is not None:
-            log_pred = -0.5 * n * u_n**2 * rate_functional(region)
-    if log_pred is not None and log_pred < math.log(1e-12):
+        region = _event_region(pt.event)
+        if region is None:
+            return
+        log_pred = -0.5 * pt.n * pt.u_n**2 * rate_functional(region)
+    if log_pred < math.log(1e-12):
         raise BudgetError(
             f"predicted probability exp({log_pred:.1f}) below 1e-12:"
             " crude sampling cannot resolve it; use method='tilted'"
@@ -788,6 +771,18 @@ def _reps_for(schedule_ns, budget: Budget) -> int:
     total = sum(schedule_ns)
     capped = budget.max_total_draws // max(total, 1)
     return max(budget.min_reps, min(budget.n_reps, int(capped)))
+
+
+def _rate_points(event, fam, theta0, ns, u_of, b, budget, base, **kw) -> tuple:
+    """One RatePoint per n of ns, at deviation u_of(n) and point index
+    base + i; kw (method, seed, eps, workers) passes to estimate_prob."""
+    reps = _reps_for(ns, budget)
+    points = []
+    for i, n in enumerate(ns):
+        u = u_of(n)
+        est = estimate_prob(event, fam, theta0, n, u, b=b, n_reps=reps, point_index=base + i, **kw)
+        points.append(RatePoint(n=n, u_n=u, estimate=est))
+    return tuple(points)
 
 
 def ldp_curve(
@@ -808,18 +803,11 @@ def ldp_curve(
         raise GridError("moderate-deviation curves need alpha in (0, 1/2)")
     region = _event_region(event)
     target = rate_functional(region) if region is not None else math.nan
-    b = schedule.b if schedule.b is not None else np.zeros(fam.d)
-    reps = _reps_for(schedule.n_values, budget)
-    points = []
-    for i, n in enumerate(schedule.n_values):
-        u = schedule.u_of(n)
-        est = estimate_prob(
-            event, fam, theta0, n, u,
-            b=b, method=method, n_reps=reps, seed=seed, eps=eps,
-            point_index=i, workers=workers,
-        )
-        points.append(RatePoint(n=n, u_n=u, estimate=est))
-    return RateCurve(points=tuple(points), target=target, label=label or type(event).__name__)
+    points = _rate_points(
+        event, fam, theta0, schedule.n_values, schedule.u_of, schedule.b, budget, 0,
+        method=method, seed=seed, eps=eps, workers=workers,
+    )
+    return RateCurve(points=points, target=target, label=label or type(event).__name__)
 
 
 def equivalence_tail(
@@ -839,20 +827,13 @@ def equivalence_tail(
     deviation event's; the curves have no fixed rate target.
     """
     curves = {}
-    b = schedule.b if schedule.b is not None else np.zeros(fam.d)
-    reps = _reps_for(schedule.n_values, budget)
     for k, kind in enumerate(("mle_vs_psi", "lr_vs_wald", "lr_vs_psi2")):
-        event = DiscrepancyEvent(kind=kind, delta=delta)
-        points = []
-        for i, n in enumerate(schedule.n_values):
-            u = schedule.u_of(n)
-            est = estimate_prob(
-                event, fam, theta0, n, u,
-                b=b, method=method, n_reps=reps, seed=seed, eps=eps,
-                point_index=10_000 * k + i, workers=workers,
-            )
-            points.append(RatePoint(n=n, u_n=u, estimate=est))
-        curves[kind] = RateCurve(points=tuple(points), target=math.nan, label=kind)
+        points = _rate_points(
+            DiscrepancyEvent(kind=kind, delta=delta), fam, theta0, schedule.n_values,
+            schedule.u_of, schedule.b, budget, 10_000 * k,
+            method=method, seed=seed, eps=eps, workers=workers,
+        )
+        curves[kind] = RateCurve(points=points, target=math.nan, label=kind)
     return curves
 
 
@@ -883,14 +864,9 @@ def bahadur_sweep(
         ns = [n for n in ns if n * u**2 >= 2.0 and n >= 2]
         if not ns:
             raise GridError(f"no usable n for u={u}: n u^2 stays below 2")
-        reps = _reps_for(ns, budget)
-        points = []
-        for i, n in enumerate(ns):
-            est = estimate_prob(
-                event, fam, theta0, n, u,
-                b=None, method=method, n_reps=reps, seed=seed, eps=eps,
-                point_index=100_000 * j + i, workers=workers,
-            )
-            points.append(RatePoint(n=n, u_n=u, estimate=est))
-        curves.append(RateCurve(points=tuple(points), target=target, label=f"u={u:g}"))
+        points = _rate_points(
+            event, fam, theta0, ns, lambda n, u=u: u, None, budget, 100_000 * j,
+            method=method, seed=seed, eps=eps, workers=workers,
+        )
+        curves.append(RateCurve(points=points, target=target, label=f"u={u:g}"))
     return curves

@@ -119,6 +119,23 @@ def test_truncation_zeroes_large_scores_only():
     assert zeroed_loose <= zeroed_tight
 
 
+def test_truncated_score_keeps_the_sample_axes():
+    policy = TruncationPolicy(eps=0.5, u_n=0.5)  # threshold 1 on |phi|
+    for name, obs_shape in (("gaussian", ()), ("gaussian2", (2,))):
+        fam = get_family(name)
+        theta0 = np.zeros(fam.d)
+        stack = np.random.default_rng(4).normal(scale=2.0, size=(3, 50) + obs_shape)
+        got = truncated_score(fam, theta0, policy, stack)
+        assert got.shape == (3, 50, fam.d)
+        for row, want in zip(stack, got):
+            np.testing.assert_array_equal(truncated_score(fam, theta0, policy, row), want)
+        assert np.any(got == 0.0) and np.any(got != 0.0)
+        # one observation: no sample axis
+        one = truncated_score(fam, theta0, policy, stack[0, 0])
+        np.testing.assert_array_equal(one, got[0, 0])
+        assert one.shape == (fam.d,)
+
+
 def test_loglr_sum_has_explicit_shift():
     fam = get_family("gaussian")
     sample = draw_sample(fam, 0.0, 30, seed=2)

@@ -89,6 +89,30 @@ def test_exact_bernoulli_psi_guards_active_truncation():
     assert math.isfinite(ok.log_p) and ok.log_p < 0
 
 
+def test_exact_bernoulli_psi_matches_atom_sum():
+    # independent enumeration: with k ones, psi = (k - n theta0) / (2 sqrt(n
+    # theta0 (1 - theta0))) and W = 2 psi / (sqrt(n) u_n) - I^{1/2} b, with
+    # I^{1/2} = 1 / sqrt(theta0 (1 - theta0)); open inequalities, and an eps
+    # large enough that the truncation cannot bind
+    fam = get_family("bernoulli")
+    for theta0, b in ((0.3, 0.5), (0.7, -0.5), (0.2, 1.0)):
+        var = theta0 * (1.0 - theta0)
+        for n in (50, 200, 1001):
+            u = n ** -0.25
+            theta_gen = theta0 + u * b
+            k = np.arange(n + 1)
+            psi = (k - n * theta0) / (2.0 * math.sqrt(n * var))
+            w = 2.0 * psi / (math.sqrt(n) * u) - b / math.sqrt(var)
+            for a, c in ((1.0, 1.0), (-1.0, 0.5)):
+                mask = a * w > c
+                want = float(logsumexp(sps.binom.logpmf(k[mask], n, theta_gen)))
+                region = RegionSpec("half_space", d=1, a=np.array([a]), c=c)
+                r = estimate_prob(PsiEvent(region), fam, np.array([theta0]), n, u,
+                                  b=np.array([b]), method="exact", eps=2.0)
+                assert r.log_p == pytest.approx(want, rel=1e-12)
+                assert r.method == "exact"
+
+
 def test_exact_exponential_gamma_tail():
     fam = get_family("exponential")
     r = estimate_prob(MleEvent(HALF(1.0)), fam, np.array([1.0]), 50, 0.3, method="exact")
@@ -786,6 +810,39 @@ def test_bahadur_sweep_validation():
         bahadur_sweep(MleEvent(HALF(1.0)), fam, np.zeros(1), (0.3,), 8)
     with pytest.raises(GridError):
         bahadur_sweep(MleEvent(HALF(1.0)), fam, np.zeros(1), (0.0,), 10000)
+
+
+def test_curve_drivers_key_each_point_by_its_index():
+    # the RNG contract: point i of an ldp curve, point i of coupling k in an
+    # equivalence tail and point i of the j-th u in a Bahadur sweep run on
+    # the streams of point index i, 10_000 k + i and 100_000 j + i
+    fam = get_family("bernoulli")
+    theta0 = np.array([0.5])
+    budget = Budget(n_reps=300, min_reps=100)
+    kw = dict(method="tilted", seed=7, eps=0.5, workers=1)
+    sched = DeviationSchedule((64, 256), 0.25)
+
+    def direct(event, n, u, index):
+        return estimate_prob(event, fam, theta0, n, u, n_reps=300, point_index=index, **kw)
+
+    event = MleEvent(HALF(1.0))
+    curve = ldp_curve(event, fam, theta0, sched, budget=budget, **kw)
+    for i, p in enumerate(curve.points):
+        assert p.estimate == direct(event, p.n, sched.u_of(p.n), i)
+
+    curves = equivalence_tail(fam, theta0, sched, 0.125, budget=budget, **kw)
+    for k, kind in enumerate(("mle_vs_psi", "lr_vs_wald", "lr_vs_psi2")):
+        for i, p in enumerate(curves[kind].points):
+            want = direct(DiscrepancyEvent(kind, 0.125), p.n, sched.u_of(p.n), 10_000 * k + i)
+            assert p.estimate == want
+
+    sweep = bahadur_sweep(event, fam, theta0, (0.3, 0.2), 1024, budget=budget, **kw)
+    for j, (u, curve) in enumerate(zip((0.3, 0.2), sweep)):
+        assert len(curve.points) == 4
+        for i, p in enumerate(curve.points):
+            assert p.estimate == direct(event, p.n, u, 100_000 * j + i)
+    # the keys matter: the same point on the stream of another index differs
+    assert sweep[1].points[0].estimate != direct(event, sweep[1].points[0].n, 0.2, 0)
 
 
 def test_normalized_rate_arithmetic():
