@@ -57,12 +57,21 @@ RUNS.append(("equivalence", "laplace", {
 for _name, _extra in (
     ("bayes-squared", {"event": "bayes", "loss": {"kind": "power", "p": 2.0}}),
     ("bayes-absolute", {"event": "bayes", "loss": {"kind": "power", "p": 1.0}}),
+    ("bayes-linear", {"event": "bayes", "loss": {"kind": "linear"}}),
     ("psi", {"event": "psi"}),
 ):
     RUNS.append(("ldp-curve", _name, {
         "family": "gaussian", "theta0": [0.0], "seed": 5, "region": HALF,
         "schedule": SCHEDULE, "budget": BUDGET, **_extra,
     }))
+# a region, schedule and budget off their defaults: a box, c = 1.5 with b = 0.1,
+# and a draw cap that sets the replications to 60000 // (64 + 256) = 187
+RUNS.append(("ldp-curve", "box-mle-capped", {
+    "family": "gaussian", "theta0": [0.0], "seed": 5, "event": "mle",
+    "region": {"shape": "box", "d": 1, "lo": [1.0], "hi": [2.0]},
+    "schedule": {**SCHEDULE, "c": 1.5, "b": [0.1]},
+    "budget": {**BUDGET, "max_total_draws": 60000},
+}))
 # Laplace window samples at even n: the median is the mean of the two middle
 # order statistics, the Bayes event builds a posterior grid per replication,
 # and psi counts the points above theta0

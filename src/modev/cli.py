@@ -39,14 +39,10 @@ from .config import (
     LanCheckConfig,
     PosteriorConcentrationConfig,
     ReportConfig,
-    budget_from_dict,
+    build_section,
     config_to_dict,
     family_from_config,
     load_config,
-    loss_from_dict,
-    prior_from_dict,
-    region_from_dict,
-    schedule_from_dict,
     _theta0,
 )
 from .errors import ConfigError, EmptyDirError, ModevError
@@ -204,6 +200,8 @@ def run_lan_check(cfg: LanCheckConfig, workers: int, out_dir: Path) -> list[str]
         raise ConfigError(f"b has dimension {b.size}, family {fam.name} needs {fam.d}")
     if cfg.grid_step_divisor < 20.0:
         raise ConfigError("grid_step_divisor must be at least 20 (grid step <= u_n/20)")
+    if not cfg.eps > 0:
+        raise ConfigError("eps must be positive")
     e1 = np.eye(fam.d)[0]
     psi_cols = ",".join(f"psi_{k + 1}" for k in range(fam.d))
     rows = [f"n,u_n,eps,b,u,sum_xi,zeta,{psi_cols},residual"]
@@ -242,21 +240,22 @@ def run_lan_check(cfg: LanCheckConfig, workers: int, out_dir: Path) -> list[str]
 def run_ldp_curve(cfg: CurveConfig, workers: int, out_dir: Path) -> list[str]:
     fam = family_from_config(cfg.family)
     theta0 = _theta0(cfg.theta0, fam)
-    region = region_from_dict(cfg.region)
-    loss = loss_from_dict(cfg.loss)
+    region = build_section("region", cfg.region)
+    loss = build_section("loss", cfg.loss)
     if cfg.event == "bayes" and not bayes_loss_supported(loss, fam.d):
         raise ConfigError(
-            "bayes events need squared loss (euclidean or weighted norm when d > 1)"
+            "bayes events need squared loss (euclidean norm when d > 1)"
             " or absolute loss in one dimension"
         )
     if cfg.event in ("bayes", "posterior_mass"):
         _check_posterior_grid_dimension(fam, cfg.method)
     event = _build_event(
-        cfg.event, region, prior_from_dict(cfg.prior), loss, cfg.resolution, cfg.threshold
+        cfg.event, region, build_section("prior", cfg.prior), loss, cfg.resolution, cfg.threshold
     )
     curve = ldp_curve(
-        event, fam, theta0, schedule_from_dict(cfg.schedule), budget_from_dict(cfg.budget),
-        method=cfg.method, seed=cfg.seed, workers=workers, eps=cfg.eps, label=cfg.event,
+        event, fam, theta0, build_section("schedule", cfg.schedule),
+        build_section("budget", cfg.budget), method=cfg.method, seed=cfg.seed,
+        workers=workers, eps=cfg.eps, label=cfg.event,
     )
     return [_write_text(out_dir / "ldp_curve.csv", _curve_csv(curve))]
 
@@ -265,8 +264,8 @@ def run_equivalence(cfg: EquivalenceConfig, workers: int, out_dir: Path) -> list
     fam = family_from_config(cfg.family)
     theta0 = _theta0(cfg.theta0, fam)
     curves = equivalence_tail(
-        fam, theta0, schedule_from_dict(cfg.schedule), cfg.delta,
-        budget_from_dict(cfg.budget), method=cfg.method, seed=cfg.seed,
+        fam, theta0, build_section("schedule", cfg.schedule), cfg.delta,
+        build_section("budget", cfg.budget), method=cfg.method, seed=cfg.seed,
         workers=workers, eps=cfg.eps,
     )
     return [
@@ -278,12 +277,12 @@ def run_equivalence(cfg: EquivalenceConfig, workers: int, out_dir: Path) -> list
 def run_bahadur(cfg: BahadurConfig, workers: int, out_dir: Path) -> list[str]:
     fam = family_from_config(cfg.family)
     theta0 = _theta0(cfg.theta0, fam)
-    region = region_from_dict(cfg.region)
+    region = build_section("region", cfg.region)
     if cfg.event not in ("mle", "psi"):
         raise ConfigError("bahadur-sweep supports mle or psi events")
     event = MleEvent(region) if cfg.event == "mle" else PsiEvent(region)
     curves = bahadur_sweep(
-        event, fam, theta0, cfg.u_values, cfg.n_large, budget_from_dict(cfg.budget),
+        event, fam, theta0, cfg.u_values, cfg.n_large, build_section("budget", cfg.budget),
         method=cfg.method, seed=cfg.seed, workers=workers, eps=cfg.eps,
     )
     artifacts = []
@@ -298,13 +297,13 @@ def run_posterior_concentration(
 ) -> list[str]:
     fam = family_from_config(cfg.family)
     theta0 = _theta0(cfg.theta0, fam)
-    region = region_from_dict(cfg.region)
-    prior = prior_from_dict(cfg.prior)
-    schedule = schedule_from_dict(cfg.schedule)
+    region = build_section("region", cfg.region)
+    prior = build_section("prior", cfg.prior)
+    schedule = build_section("schedule", cfg.schedule)
     _check_posterior_grid_dimension(fam, cfg.method)
     event = PosteriorMassEvent(region, cfg.threshold, prior, cfg.resolution)
     curve = ldp_curve(
-        event, fam, theta0, schedule, budget_from_dict(cfg.budget),
+        event, fam, theta0, schedule, build_section("budget", cfg.budget),
         method=cfg.method, seed=cfg.seed, workers=workers, eps=cfg.eps,
         label="posterior_mass",
     )

@@ -4,6 +4,10 @@ Every config is a frozen dataclass mirroring its JSON shape.  Unknown keys
 are rejected by dotted path, nested sections merge over defaults, and the
 fully resolved dict that ends up in the run manifest reconstructs the same
 config bit-for-bit, which is what makes manifest reruns reproducible.
+
+A nested section (region, schedule, budget, prior, loss) takes exactly the
+fields of its spec; build_section builds the spec from the resolved section,
+and the spec converts and validates its own values.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .conditions import _jsonable
+from .errors import ConfigError, ModevError
 from .estimators import LossSpec, PriorSpec
 from .families import Box, ParametricFamily, family_names, get_family
 from .rarevent import Budget, DeviationSchedule
@@ -40,99 +45,38 @@ def _reject_unknown(d: dict, allowed, path: str = "") -> None:
             raise ConfigError(f"unknown config key {path + k!r}")
 
 
-def _merge_section(raw: Optional[dict], defaults: dict, allowed, path: str) -> dict:
-    if raw is None:
-        return dict(defaults)
-    _reject_unknown(raw, allowed, path)
-    out = dict(defaults)
-    out.update(raw)
-    return out
+# -- nested sections -----------------------------------------------------------
+
+# Each nested section takes exactly its spec's fields; the dict holds the
+# defaults a config section merges over (and its manifest records).
+_SECTIONS = {
+    "region": (RegionSpec, {"shape": "half_space", "a": [1.0], "c": 1.0}),
+    "schedule": (
+        DeviationSchedule, {"n_values": [256, 1024, 4096], "alpha": 0.25, "c": 1.0, "b": None}
+    ),
+    "budget": (Budget, asdict(Budget())),
+    "prior": (PriorSpec, {"kind": "flat"}),
+    "loss": (LossSpec, {"kind": "power", "p": 2.0, "norm": "euclidean"}),
+}
 
 
-# -- nested section builders -------------------------------------------------
-
-_REGION_KEYS = ("shape", "d", "a", "c", "r", "lo", "hi")
-_PRIOR_KEYS = ("kind", "mean", "sd")
-_LOSS_KEYS = ("kind", "p", "norm", "weights", "xs", "ys")
-_BUDGET_KEYS = ("n_reps", "max_total_draws", "min_reps")
-_SCHEDULE_KEYS = ("n_values", "alpha", "c", "b")
+def _allowed(name: str) -> list[str]:
+    return [f.name for f in fields(_SECTIONS[name][0])]
 
 
-def region_from_dict(d: dict, path: str = "region.") -> RegionSpec:
-    _reject_unknown(d, _REGION_KEYS, path)
-    if "shape" not in d:
-        raise ConfigError(f"{path}shape is required")
-    kw = dict(d)
-    for key in ("a", "lo", "hi"):
-        if key in kw and kw[key] is not None:
-            kw[key] = np.asarray(kw[key], dtype=float)
+def _default(name: str):
+    return field(default_factory=lambda: dict(_SECTIONS[name][1]))
+
+
+def build_section(name: str, d: dict):
+    """The spec of a resolved nested section (region, schedule, budget, prior
+    or loss); unknown keys and invalid values are ConfigErrors."""
+    cls = _SECTIONS[name][0]
+    _reject_unknown(d, _allowed(name), name + ".")
     try:
-        return RegionSpec(**kw)
-    except Exception as e:
-        raise ConfigError(f"invalid region: {e}") from e
-
-
-def prior_from_dict(d: dict, path: str = "prior.") -> PriorSpec:
-    _reject_unknown(d, _PRIOR_KEYS, path)
-    kind = d.get("kind", "flat")
-    try:
-        if kind == "flat":
-            return PriorSpec.flat()
-        if kind == "gaussian":
-            if "mean" not in d:
-                raise ConfigError(f"{path}mean is required for a gaussian prior")
-            return PriorSpec.gaussian(d["mean"], float(d.get("sd", 1.0)))
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(f"invalid prior: {e}") from e
-    raise ConfigError(f"unknown prior kind {kind!r}")
-
-
-def loss_from_dict(d: dict, path: str = "loss.") -> LossSpec:
-    _reject_unknown(d, _LOSS_KEYS, path)
-    kind = d.get("kind", "power")
-    norm = d.get("norm", "euclidean")
-    weights = d.get("weights")
-    try:
-        if kind == "power":
-            return LossSpec.power(float(d.get("p", 2.0)), norm=norm, weights=weights)
-        if kind == "linear":
-            return LossSpec.linear(norm=norm, weights=weights)
-        if kind == "table":
-            return LossSpec.table(d.get("xs"), d.get("ys"), norm=norm, weights=weights)
-    except Exception as e:
-        raise ConfigError(f"invalid loss: {e}") from e
-    raise ConfigError(f"unknown loss kind {kind!r}")
-
-
-def budget_from_dict(d: dict, path: str = "budget.") -> Budget:
-    _reject_unknown(d, _BUDGET_KEYS, path)
-    try:
-        return Budget(
-            n_reps=int(d.get("n_reps", 100_000)),
-            max_total_draws=int(d.get("max_total_draws", 10**9)),
-            min_reps=int(d.get("min_reps", 1000)),
-        )
-    except Exception as e:
-        raise ConfigError(f"invalid budget: {e}") from e
-
-
-def schedule_from_dict(d: dict, path: str = "schedule.") -> DeviationSchedule:
-    _reject_unknown(d, _SCHEDULE_KEYS, path)
-    if "n_values" not in d:
-        raise ConfigError(f"{path}n_values is required")
-    try:
-        return DeviationSchedule(
-            n_values=tuple(int(v) for v in d["n_values"]),
-            alpha=float(d.get("alpha", 0.25)),
-            c=float(d.get("c", 1.0)),
-            b=d.get("b"),
-        )
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(f"invalid schedule: {e}") from e
+        return cls(**d)
+    except (ModevError, ArithmeticError, TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {name}: {e}") from e
 
 
 def family_from_config(name: str) -> ParametricFamily:
@@ -151,13 +95,6 @@ def _theta0(cfg_theta0, fam: ParametricFamily) -> np.ndarray:
 
 
 # -- command configs ----------------------------------------------------------
-
-_DEFAULT_REGION = {"shape": "half_space", "a": [1.0], "c": 1.0}
-_DEFAULT_SCHEDULE = {"n_values": [256, 1024, 4096], "alpha": 0.25, "c": 1.0, "b": None}
-_DEFAULT_BUDGET = {"n_reps": 100_000, "max_total_draws": 10**9, "min_reps": 1000}
-_DEFAULT_PRIOR = {"kind": "flat"}
-_DEFAULT_LOSS = {"kind": "power", "p": 2.0, "norm": "euclidean"}
-
 
 @dataclass(frozen=True)
 class ConditionsConfig:
@@ -214,13 +151,13 @@ class CurveConfig:
     theta0: tuple = (0.0,)
     seed: int = 0
     event: str = "mle"
-    region: dict = field(default_factory=lambda: dict(_DEFAULT_REGION))
-    schedule: dict = field(default_factory=lambda: dict(_DEFAULT_SCHEDULE))
-    budget: dict = field(default_factory=lambda: dict(_DEFAULT_BUDGET))
+    region: dict = _default("region")
+    schedule: dict = _default("schedule")
+    budget: dict = _default("budget")
     method: str = "tilted"
     eps: float = 0.5
-    prior: dict = field(default_factory=lambda: dict(_DEFAULT_PRIOR))
-    loss: dict = field(default_factory=lambda: dict(_DEFAULT_LOSS))
+    prior: dict = _default("prior")
+    loss: dict = _default("loss")
     resolution: int = 256
     threshold: float = 0.5
 
@@ -231,8 +168,8 @@ class EquivalenceConfig:
     theta0: tuple = (0.0,)
     seed: int = 0
     delta: float = 0.125
-    schedule: dict = field(default_factory=lambda: dict(_DEFAULT_SCHEDULE))
-    budget: dict = field(default_factory=lambda: dict(_DEFAULT_BUDGET))
+    schedule: dict = _default("schedule")
+    budget: dict = _default("budget")
     method: str = "tilted"
     eps: float = 0.5
 
@@ -243,10 +180,10 @@ class BahadurConfig:
     theta0: tuple = (0.5,)
     seed: int = 0
     event: str = "mle"
-    region: dict = field(default_factory=lambda: dict(_DEFAULT_REGION))
+    region: dict = _default("region")
     u_values: tuple = (0.3, 0.2, 0.1)
     n_large: int = 10_000
-    budget: dict = field(default_factory=lambda: dict(_DEFAULT_BUDGET))
+    budget: dict = _default("budget")
     method: str = "tilted"
     eps: float = 0.5
 
@@ -256,12 +193,12 @@ class PosteriorConcentrationConfig:
     family: str = "gaussian"
     theta0: tuple = (0.0,)
     seed: int = 0
-    region: dict = field(default_factory=lambda: dict(_DEFAULT_REGION))
+    region: dict = _default("region")
     threshold: float = 0.5
-    prior: dict = field(default_factory=lambda: dict(_DEFAULT_PRIOR))
+    prior: dict = _default("prior")
     resolution: int = 256
-    schedule: dict = field(default_factory=lambda: dict(_DEFAULT_SCHEDULE))
-    budget: dict = field(default_factory=lambda: dict(_DEFAULT_BUDGET))
+    schedule: dict = _default("schedule")
+    budget: dict = _default("budget")
     method: str = "tilted"
     eps: float = 0.5
     grid_dump_resolution: int = 256
@@ -271,15 +208,6 @@ class PosteriorConcentrationConfig:
 class ReportConfig:
     in_dir: str = "."
     seed: int = 0  # unused, kept so every manifest records one
-
-
-_NESTED = {
-    "region": (_REGION_KEYS, _DEFAULT_REGION),
-    "schedule": (_SCHEDULE_KEYS, _DEFAULT_SCHEDULE),
-    "budget": (_BUDGET_KEYS, _DEFAULT_BUDGET),
-    "prior": (_PRIOR_KEYS, _DEFAULT_PRIOR),
-    "loss": (_LOSS_KEYS, _DEFAULT_LOSS),
-}
 
 
 def config_from_dict(cls, raw: dict):
@@ -292,9 +220,10 @@ def config_from_dict(cls, raw: dict):
         if f.name not in raw:
             continue
         v = raw[f.name]
-        if f.name in _NESTED:
-            allowed, defaults = _NESTED[f.name]
-            kw[f.name] = _merge_section(v, defaults, allowed, f.name + ".")
+        if f.name in _SECTIONS:
+            if v is not None:
+                _reject_unknown(v, _allowed(f.name), f.name + ".")
+            kw[f.name] = {**_SECTIONS[f.name][1], **(v or {})}
         elif isinstance(v, list):
             kw[f.name] = tuple(tuple(x) if isinstance(x, list) else x for x in v)
         else:
@@ -309,19 +238,7 @@ def config_from_dict(cls, raw: dict):
 
 def config_to_dict(cfg) -> dict:
     """JSON-ready resolved config; tuples become lists."""
-
-    def conv(v):
-        if isinstance(v, tuple):
-            return [conv(x) for x in v]
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        return v
-
-    return {k: conv(v) for k, v in asdict(cfg).items()}
+    return {k: _jsonable(v) for k, v in asdict(cfg).items()}
 
 
 COMMAND_CONFIGS = {

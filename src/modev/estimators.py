@@ -42,7 +42,7 @@ from .regions import RegionSpec
 
 @dataclass(frozen=True)
 class LossSpec:
-    """l(u) = l1(|u|) with |.| one of euclidean / max / weighted-diag norms.
+    """l(u) = l1(|u|) with |.| the euclidean or the max norm.
 
     kinds: "power" (l1(r) = r**p), "linear" (l1(r) = r), "table"
     (monotone interpolation through (xs, ys) with ys[0] = 0).
@@ -51,20 +51,17 @@ class LossSpec:
     kind: str = "power"
     p: float = 2.0
     norm: str = "euclidean"
-    weights: Optional[np.ndarray] = None
     xs: Optional[np.ndarray] = None
     ys: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
         if self.kind not in ("power", "linear", "table"):
             raise GridError(f"unknown loss kind {self.kind!r}")
-        if self.norm not in ("euclidean", "max", "weighted"):
+        if self.norm not in ("euclidean", "max"):
             raise GridError(f"unknown norm {self.norm!r}")
         if self.kind == "power" and not self.p > 0:
             raise GridError("power loss needs p > 0")
-        if self.norm == "weighted":
-            if self.weights is None or np.any(np.asarray(self.weights) <= 0):
-                raise GridError("weighted norm needs positive weights")
         if self.kind == "table":
             if self.xs is None or self.ys is None:
                 raise GridError("table loss needs xs and ys")
@@ -75,27 +72,20 @@ class LossSpec:
                 raise GridError("table loss must start at (0, 0)")
             if np.any(np.diff(xs) <= 0):
                 raise GridError("table xs must be strictly increasing")
+            object.__setattr__(self, "xs", xs)
+            object.__setattr__(self, "ys", ys)
 
     @classmethod
-    def power(cls, p: float, norm: str = "euclidean", weights=None) -> "LossSpec":
-        w = None if weights is None else np.asarray(weights, dtype=float)
-        return cls(kind="power", p=float(p), norm=norm, weights=w)
+    def power(cls, p: float, norm: str = "euclidean") -> "LossSpec":
+        return cls(kind="power", p=p, norm=norm)
 
     @classmethod
-    def linear(cls, norm: str = "euclidean", weights=None) -> "LossSpec":
-        w = None if weights is None else np.asarray(weights, dtype=float)
-        return cls(kind="linear", norm=norm, weights=w)
+    def linear(cls, norm: str = "euclidean") -> "LossSpec":
+        return cls(kind="linear", norm=norm)
 
     @classmethod
-    def table(cls, xs, ys, norm: str = "euclidean", weights=None) -> "LossSpec":
-        w = None if weights is None else np.asarray(weights, dtype=float)
-        return cls(
-            kind="table",
-            norm=norm,
-            weights=w,
-            xs=np.asarray(xs, dtype=float),
-            ys=np.asarray(ys, dtype=float),
-        )
+    def table(cls, xs, ys, norm: str = "euclidean") -> "LossSpec":
+        return cls(kind="table", norm=norm, xs=xs, ys=ys)
 
     def l1(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -104,8 +94,7 @@ class LossSpec:
         if self.kind == "linear":
             return r.copy()
         # Linear extrapolation keeps the table loss increasing past the last knot.
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        xs, ys = self.xs, self.ys
         out = np.interp(r, xs, ys)
         slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         out = np.where(r > xs[-1], ys[-1] + slope * (r - xs[-1]), out)
@@ -127,6 +116,8 @@ class PriorSpec:
         if self.kind == "gaussian":
             if self.mean is None:
                 raise GridError("gaussian prior needs a mean")
+            object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
+            object.__setattr__(self, "sd", float(self.sd))
             if not self.sd > 0:
                 raise GridError("gaussian prior needs sd > 0")
 
@@ -136,7 +127,7 @@ class PriorSpec:
 
     @classmethod
     def gaussian(cls, mean, sd: float) -> "PriorSpec":
-        return cls(kind="gaussian", mean=np.atleast_1d(np.asarray(mean, dtype=float)), sd=float(sd))
+        return cls(kind="gaussian", mean=mean, sd=sd)
 
     def log_density(self, nodes: np.ndarray) -> np.ndarray:
         """Unnormalized log prior on (..., d) nodes; truncation constant dropped."""
@@ -291,7 +282,7 @@ def _is_absolute(loss: LossSpec) -> bool:
 def bayes_loss_supported(loss: LossSpec, d: int) -> bool:
     """Whether the Bayes estimate under this loss has a closed form on a grid
     posterior: squared loss (the posterior mean; in d > 1 only for the
-    euclidean or weighted-diagonal norm, which separate over the axes), or
+    euclidean norm, which separates over the axes), or
     absolute loss in one dimension (the posterior median)."""
     if loss.kind == "power" and loss.p == 2.0:
         return d == 1 or loss.norm != "max"
@@ -309,7 +300,7 @@ def bayes_estimates(nodes: np.ndarray, w: np.ndarray, loss: LossSpec) -> np.ndar
     """
     if not bayes_loss_supported(loss, nodes.shape[-1]):
         raise DomainError(
-            "Bayes estimates need squared loss (euclidean or weighted norm when d > 1)"
+            "Bayes estimates need squared loss (euclidean norm when d > 1)"
             " or absolute loss in one dimension"
         )
     if not _is_absolute(loss):

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -106,6 +106,13 @@ class Budget:
     max_total_draws: int = 10**9
     min_reps: int = 1000
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = int(getattr(self, f.name))
+            if v < 1:
+                raise GridError(f"{f.name} must be at least 1")
+            object.__setattr__(self, f.name, v)
+
 
 @dataclass(frozen=True)
 class DeviationSchedule:
@@ -124,6 +131,8 @@ class DeviationSchedule:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise GridError("n_values must be strictly increasing")
         object.__setattr__(self, "n_values", ns)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "c", float(self.c))
         if not (0.0 <= self.alpha < 0.5):
             raise GridError("alpha must lie in [0, 1/2)")
         if not self.c > 0:
@@ -440,9 +449,9 @@ def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
 
 
 def _sim_chunk(start, stop, pt: _Point):
-    """The chunk's log-domain sums (hits, lw_hit, l2w_hit, lw_all, l2w_all),
-    then how many values it drew (_Draws.values), which run_chunks sizes its
-    tasks by."""
+    """The chunk's hit count and log-domain weight sums over its hits (hits,
+    lw_hit, l2w_hit), then how many values it drew (_Draws.values), which
+    run_chunks sizes its tasks by."""
     components = pt.components
     k_count = len(components)
     # only sampling from theta_gen itself (crude runs, the pilot at b = 0)
@@ -471,9 +480,7 @@ def _sim_chunk(start, stop, pt: _Point):
     neg_inf = -math.inf
     lw_hit = float(logsumexp(logw[ind])) if hits else neg_inf
     l2w_hit = float(logsumexp(2.0 * logw[ind])) if hits else neg_inf
-    lw_all = float(logsumexp(logw))
-    l2w_all = float(logsumexp(2.0 * logw))
-    return (hits, lw_hit, l2w_hit, lw_all, l2w_all, drawn)
+    return (hits, lw_hit, l2w_hit, drawn)
 
 
 def _pilot_chunk(start, stop, pt: _Point):
@@ -686,6 +693,8 @@ def estimate_prob(
         raise DomainError(f"b has dimension {b.size}, expected {fam.d}")
     if not u_n > 0:
         raise GridError("u_n must be positive")
+    if not eps > 0:
+        raise GridError("eps must be positive")
     if n < 2:
         raise GridError("n must be at least 2")
     theta_gen = theta0 + u_n * b
@@ -717,8 +726,6 @@ def estimate_prob(
     hits = sum(p[0] for p in partials)
     lw_hit = float(logsumexp(np.array([p[1] for p in partials])))
     l2w_hit = float(logsumexp(np.array([p[2] for p in partials])))
-    lw_all = float(logsumexp(np.array([p[3] for p in partials])))
-    l2w_all = float(logsumexp(np.array([p[4] for p in partials])))
     log_n = math.log(n_reps)
 
     # Raw weights are heavy-tailed by design under a rare-event tilt, and a

@@ -314,6 +314,46 @@ def test_rejects_coarse_lan_grid(tmp_path):
     assert rc == 2
 
 
+def test_lan_check_rejects_nonpositive_eps(tmp_path, caplog):
+    with caplog.at_level(logging.ERROR, logger="modev"):
+        rc, out = run(tmp_path, "lan-check", {"family": "gaussian", "eps": 0.0})
+    assert rc == 2
+    assert "eps must be positive" in caplog.text
+    assert not (out / "lan_check.csv").exists()
+
+
+def test_psi_curve_with_nonpositive_eps_is_bad_input(tmp_path, caplog):
+    cfg = {"family": "gaussian", "event": "psi", "eps": 0.0,
+           "schedule": {"n_values": [64, 256]}, "budget": {"n_reps": 300, "min_reps": 100}}
+    with caplog.at_level(logging.ERROR, logger="modev"):
+        rc, out = run(tmp_path, "ldp-curve", cfg)
+    assert rc == 1
+    assert "eps must be positive" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert not (out / "ldp_curve.csv").exists()
+
+
+@pytest.mark.parametrize("budget, message", [
+    ({"n_reps": 0, "min_reps": 0}, "n_reps must be at least 1"),
+    ({"max_total_draws": float("inf")}, "cannot convert float infinity to integer"),
+])
+def test_unusable_budget_is_an_invalid_budget(tmp_path, caplog, budget, message):
+    cfg = {"family": "gaussian", "schedule": {"n_values": [64, 256]}, "budget": budget}
+    with caplog.at_level(logging.ERROR, logger="modev"):
+        rc, out = run(tmp_path, "ldp-curve", cfg)
+    assert rc == 2
+    assert f"invalid budget: {message}" in caplog.text
+    assert not (out / "ldp_curve.csv").exists()
+
+
+def test_loss_weights_are_an_unknown_key(tmp_path, caplog):
+    cfg = {"family": "gaussian", "event": "bayes", "loss": {"norm": "euclidean", "weights": [1.0]}}
+    with caplog.at_level(logging.ERROR, logger="modev"):
+        rc, _ = run(tmp_path, "ldp-curve", cfg)
+    assert rc == 2
+    assert "unknown config key 'loss.weights'" in caplog.text
+
+
 def test_condition_exponents_checked_against_dimension_before_any_check(tmp_path):
     # beta1 = beta2 = 2 of check E do not exceed d = 2
     rc, out = run(

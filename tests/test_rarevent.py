@@ -284,15 +284,26 @@ def test_tiny_tilt_shift_keeps_its_weights():
     n, reps, shift, seed = 400, 500, 1e-9, 3
     theta_gen = np.zeros(1)
     comp = theta_gen + shift
+    # every replication lies in the half-space W > -1e6, so the hit sum is
+    # the sum over all weights
     pt = rarevent._Point(
-        fam, MleEvent(HALF(1.0)), theta_gen, theta_gen, n, 0.15, np.zeros(1), 0.5,
+        fam, MleEvent(HALF(-1e6)), theta_gen, theta_gen, n, 0.15, np.zeros(1), 0.5,
         fisher_information(fam, theta_gen), seed, 0, (comp,),
     )
-    lw_all = rarevent._sim_chunk(0, reps, pt)[3]
+    hits, lw_hit = rarevent._sim_chunk(0, reps, pt)[:2]
+    assert hits == reps
     stats = fam.draw_stats(rep_rng(seed, 0, 0), np.repeat(comp[None], reps, axis=0), n)
     logw = -shift * stats[:, 0] + 0.5 * n * shift**2
-    assert abs(lw_all - logsumexp(logw)) < 1e-13
-    assert abs(lw_all - math.log(reps)) > 1e-11
+    assert abs(lw_hit - logsumexp(logw)) < 1e-13
+    assert abs(lw_hit - math.log(reps)) > 1e-11
+
+
+def test_budget_entries_must_be_at_least_one():
+    with pytest.raises(GridError, match="n_reps must be at least 1"):
+        Budget(n_reps=0)
+    with pytest.raises(GridError, match="min_reps must be at least 1"):
+        Budget(min_reps=0)
+    assert Budget(n_reps=2.0, max_total_draws=10, min_reps=1) == Budget(2, 10, 1)
 
 
 def test_zero_hits_report_upper_bound():
