@@ -111,6 +111,26 @@ for _name, _family, _theta0, _extra in (
         "family": _family, "theta0": _theta0, "seed": 5, "region": HALF, "method": "exact",
         "schedule": SCHEDULE, "budget": BUDGET, **_extra,
     }))
+# the Gaussian region tails of every shape (psi and flat-prior Bayes read the
+# same half-space tail as the MLE) and the exponential Gamma tail below theta0
+for _name, _family, _theta0, _extra in (
+    ("exact-gaussian-psi", "gaussian", [0.0], {"event": "psi"}),
+    ("exact-gaussian-bayes", "gaussian", [0.0], {
+        "event": "bayes", "prior": {"kind": "flat"}, "loss": {"kind": "power", "p": 2.0}}),
+    ("exact-gaussian-box", "gaussian", [0.0], {
+        "event": "mle", "region": {"shape": "box", "d": 1, "lo": [1.0], "hi": [2.0]}}),
+    ("exact-gaussian2-complement-ball", "gaussian2", [0.0, 0.0], {
+        "event": "mle", "region": {"shape": "complement_ball", "d": 2, "r": 1.5}}),
+    ("exact-gaussian2-complement-box", "gaussian2", [0.0, 0.0], {
+        "event": "mle",
+        "region": {"shape": "complement_box", "d": 2, "lo": [-1.0, -0.5], "hi": [1.0, 1.5]}}),
+    ("exact-exponential-mle-below", "exponential", [1.0], {
+        "event": "mle", "region": {**HALF, "a": [-1.0]}}),
+):
+    RUNS.append(("ldp-curve", _name, {
+        "family": _family, "theta0": _theta0, "seed": 5, "region": HALF, "method": "exact",
+        "schedule": SCHEDULE, "budget": BUDGET, **_extra,
+    }))
 RUNS.append(("posterior-concentration", "exact", {
     "family": "gaussian", "theta0": [0.0], "seed": 11, "region": HALF, "method": "exact",
     "schedule": SCHEDULE, "budget": BUDGET, "grid_dump_resolution": 64,

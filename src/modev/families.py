@@ -221,6 +221,18 @@ class ParametricFamily:
         grid (G, d) shared by the replications or one grid (reps, G, d) each."""
         return None
 
+    # -- exact tails -------------------------------------------------------
+    def log_tail(self, pt, hits) -> float:
+        """log p of rate point pt's event in closed form, or DomainError.  The
+        event's estimator tag is "mle", "psi", "bayes" or "posterior_mass";
+        hits(stats, obs, counts) is its own indicator on weighted samples."""
+        raise DomainError(f"no exact tail oracle for family {self.name!r} with this event")
+
+    def flat_posterior_cdf(self, est, n: int):
+        """theta -> the (R,) flat-prior posterior CDFs at theta of R samples of
+        size n whose MLE rows are est, or None when there is no closed form."""
+        return None
+
     # -- conveniences --------------------------------------------------
     def validate_theta(self, theta) -> np.ndarray:
         return _as_theta(self, theta)
@@ -229,6 +241,47 @@ class ParametricFamily:
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
+
+
+def _gaussian_log_tail(fam: ParametricFamily, pt, hits) -> float:
+    """Gaussian location tails in the log domain: MLE, psi (truncation assumed
+    inactive) and flat-prior Bayes events (both closed-form estimates are
+    xbar; the posterior box acts below double precision) as region tails of
+    N(0, (n u_n^2)^{-1} Id), and posterior mass on 1-d half-spaces."""
+    from scipy import stats as sps
+
+    def log_interval(lo, hi):
+        # log P(lo < Z < hi) from the tail on the interval's side of 0, so
+        # that a deep-tail interval keeps its digits
+        if lo >= 0.0:
+            a, b = float(sps.norm.logsf(lo)), float(sps.norm.logsf(hi))
+        elif hi <= 0.0:
+            a, b = float(sps.norm.logcdf(hi)), float(sps.norm.logcdf(lo))
+        else:
+            return math.log(sps.norm.cdf(hi) - sps.norm.cdf(lo))
+        return a + math.log(-math.expm1(b - a)) if b < a else -math.inf
+
+    event, region, scale = pt.event, pt.event.region, math.sqrt(pt.n) * pt.u_n
+    if event.estimator == "posterior_mass":
+        if fam.d != 1 or region.shape != "half_space":
+            raise DomainError("exact posterior-mass tails need Gaussian, flat prior, half-space")
+        return float(sps.norm.logsf(scale * region.c - float(sps.norm.isf(event.threshold))))
+    if region.shape == "half_space":
+        return float(sps.norm.logsf(region.c * scale))
+    if region.shape == "complement_ball":
+        return float(sps.chi2.logsf((region.r * scale) ** 2, df=region.d))
+    if region.shape == "box":
+        return sum(log_interval(lo * scale, hi * scale) for lo, hi in zip(region.lo, region.hi))
+    if region.shape == "complement_box":
+        # 1 - prod_i (1 - q_i) = sum_i q_i prod_{j<i} (1 - q_j), q_i the
+        # probability that axis i leaves [lo_i, hi_i]: no cancellation
+        terms, log_stay = [], 0.0
+        for lo, hi in zip(region.lo, region.hi):
+            log_q = float(np.logaddexp(sps.norm.logcdf(lo * scale), sps.norm.logsf(hi * scale)))
+            terms.append(log_stay + log_q)
+            log_stay += math.log1p(-math.exp(log_q))
+        return float(special.logsumexp(terms))
+    raise DomainError(f"no exact tail for region shape {region.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -267,6 +320,12 @@ class GaussianLocation(ParametricFamily):
     def loglik_from_stats(self, stats, n, thetas):
         th = thetas[..., 0]
         return th * stats[:, :1] - 0.5 * n * th**2
+
+    log_tail = _gaussian_log_tail
+
+    def flat_posterior_cdf(self, est, n):
+        # the flat-prior posterior is N(xbar, 1/n)
+        return lambda theta: special.ndtr(math.sqrt(n) * (theta - est[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -315,6 +374,8 @@ class GaussianLocation2(ParametricFamily):
             lin = np.einsum("rk,rgk->rg", stats, thetas)
         return lin - 0.5 * n * np.sum(thetas**2, axis=-1)
 
+    log_tail = _gaussian_log_tail
+
 
 @dataclass(frozen=True)
 class Bernoulli(ParametricFamily):
@@ -358,6 +419,23 @@ class Bernoulli(ParametricFamily):
         k = stats[:, :1]
         return special.xlogy(k, th) + special.xlog1py(n - k, -th)
 
+    def log_tail(self, pt, hits):
+        # MLE, and psi while the truncation cannot bind, as the atoms k = 0..n
+        # the event's own indicator keeps (k ones, n - k zeros): a sf/floor
+        # shortcut can put a boundary atom on the wrong side of the region
+        from scipy import stats as sps
+        if pt.event.estimator not in ("mle", "psi"):
+            return super().log_tail(pt, hits)
+        n, t0 = pt.n, float(pt.theta0[0])
+        phimax = max(t0, 1.0 - t0) / (2.0 * t0 * (1.0 - t0))
+        if pt.event.estimator == "psi" and pt.eps / pt.u_n <= phimax:
+            raise DomainError("truncation active: no exact tail for the truncated score")
+        ks = np.arange(n + 1, dtype=float)
+        mask = hits(ks[:, None], np.tile([1.0, 0.0], (n + 1, 1)), np.stack((ks, n - ks), axis=1))
+        if not mask.any():
+            return -math.inf
+        return float(special.logsumexp(sps.binom.logpmf(ks[mask], n, float(pt.theta_gen[0]))))
+
 
 @dataclass(frozen=True)
 class ExponentialRate(ParametricFamily):
@@ -397,6 +475,19 @@ class ExponentialRate(ParametricFamily):
     def loglik_from_stats(self, stats, n, thetas):
         th = thetas[..., 0]
         return n * np.log(th) - stats[:, :1] * th
+
+    def log_tail(self, pt, hits):
+        # the MLE 1/xbar on a half-space, as a Gamma tail of the sum
+        from scipy import stats as sps
+        region, n, t0, tg = pt.event.region, pt.n, float(pt.theta0[0]), float(pt.theta_gen[0])
+        if pt.event.estimator != "mle" or region.shape != "half_space":
+            return super().log_tail(pt, hits)
+        a = float(region.a[0])
+        rate_thr = tg + pt.u_n * region.c * t0 / a  # estimate 1/xbar crosses this
+        if rate_thr <= 0:
+            return 0.0 if a > 0 else -math.inf
+        tail = sps.gamma.logcdf if a > 0 else sps.gamma.logsf
+        return float(tail(n / rate_thr, a=n, scale=1.0 / tg))
 
 
 @dataclass(frozen=True)
@@ -497,6 +588,19 @@ class LaplaceLocation(ParametricFamily):
             return np.partition(obs_mat, k, axis=1)[:, k : k + 1]
         part = np.partition(obs_mat, (k - 1, k), axis=1)
         return (part[:, k - 1 : k] + part[:, k : k + 1]) / 2.0
+
+    def log_tail(self, pt, hits):
+        # the MLE on a half-space: either direction asks whether the median
+        # passes theta_gen by s, as at least (n + 1) / 2 of the n draws do
+        from scipy import stats as sps
+        region, n = pt.event.region, pt.n
+        if pt.event.estimator != "mle" or region.shape != "half_space":
+            return super().log_tail(pt, hits)
+        if n % 2 == 0:
+            raise DomainError("the Laplace median tail is closed-form for odd n only")
+        s = pt.u_n * region.c / float(pt.fisher.sqrt[0, 0])
+        q = 0.5 * math.exp(-s) if s >= 0 else 1.0 - 0.5 * math.exp(s)
+        return float(sps.binom.logsf((n - 1) // 2, n, q))
 
 
 def _laplace_cdf(y):

@@ -51,6 +51,9 @@ differences, the median and psi are those of the full sample.
 
 Other events that read the truncated score (psi, mle_vs_psi, lr_vs_psi2)
 and families with neither hook draw full samples.
+
+Exact tails (method="exact") are closed forms kept on the families
+(ParametricFamily.log_tail), which read each event's estimator tag.
 """
 
 from __future__ import annotations
@@ -58,10 +61,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 import numpy as np
-from scipy import stats as sps
 from scipy.special import logsumexp
 
 from .errors import (
@@ -184,16 +186,19 @@ class RateCurve:
 @dataclass(frozen=True)
 class MleEvent:
     region: RegionSpec
+    estimator: ClassVar[str] = "mle"  # the tag ParametricFamily.log_tail reads
 
 
 @dataclass(frozen=True)
 class PsiEvent:
     region: RegionSpec
+    estimator: ClassVar[str] = "psi"
 
 
 @dataclass(frozen=True)
 class BayesEvent:
     region: RegionSpec
+    estimator: ClassVar[str] = "bayes"
     prior: PriorSpec = field(default_factory=PriorSpec.flat)
     loss: LossSpec = field(default_factory=lambda: LossSpec.power(2.0))
     resolution: int = 256
@@ -202,6 +207,7 @@ class BayesEvent:
 @dataclass(frozen=True)
 class PosteriorMassEvent:
     region: RegionSpec
+    estimator: ClassVar[str] = "posterior_mass"
     threshold: float = 0.5
     prior: PriorSpec = field(default_factory=PriorSpec.flat)
     resolution: int = 256
@@ -214,7 +220,7 @@ class DiscrepancyEvent:
     kinds (delta scales the failure threshold):
       mle_vs_psi:  |I^{1/2}(mle - theta0) - 2 n^{-1/2} psi| > delta u_n
       lr_vs_wald:  |2 sum_xi - n (mle-theta_gen)' I (mle-theta_gen)| > 2 delta n u_n^2
-      lr_vs_psi2:  |sum_xi - 2 |psi - sqrt(n) u_n b|^2| > delta n u_n^2
+      lr_vs_psi2:  |sum_xi - 2 |psi - (sqrt(n) u_n / 2) I^{1/2} b|^2| > delta n u_n^2
     """
 
     kind: str
@@ -404,26 +410,17 @@ def _posterior_masses(pt: _Point, draws: _Draws) -> np.ndarray:
     fam, event, n, u_n, theta_gen = pt.fam, pt.event, pt.n, pt.u_n, pt.theta_gen
     i_sqrt = pt.fisher.sqrt
     reg = event.region
-    if (
-        fam.name == "gaussian"
-        and event.prior.kind == "flat"
-        and reg.shape == "half_space"
-    ):
-        # Conjugate truncated posterior N(xbar, 1/n) on the default sub-box.
-        est = draws.mle()
+    est = draws.mle() if event.prior.kind == "flat" and reg.shape == "half_space" else None
+    cdf = None if est is None else fam.flat_posterior_cdf(est, n)
+    if cdf is not None:
+        # the closed-form posterior truncated to the default sub-box
         box = default_posterior_box(fam, est, n, u_n)
-        xbar, lo, hi = est[:, 0], box.lo[:, 0], box.hi[:, 0]
-        sn = math.sqrt(n)
+        lo, hi = box.lo[:, 0], box.hi[:, 0]
         a = float(reg.a[0])
         t = theta_gen[0] + u_n * reg.c / (a * float(i_sqrt[0, 0]))
-        t = np.clip(t, lo, hi)
-        z_lo, z_hi, z_t = sn * (lo - xbar), sn * (hi - xbar), sn * (t - xbar)
-        denom = sps.norm.cdf(z_hi) - sps.norm.cdf(z_lo)
-        if a > 0:
-            num = sps.norm.cdf(z_hi) - sps.norm.cdf(z_t)
-        else:
-            num = sps.norm.cdf(z_t) - sps.norm.cdf(z_lo)
-        return num / np.maximum(denom, 1e-300)
+        c_lo, c_hi, c_t = cdf(lo), cdf(hi), cdf(np.clip(t, lo, hi))
+        num = c_hi - c_t if a > 0 else c_t - c_lo
+        return num / np.maximum(c_hi - c_lo, 1e-300)
     nodes, w = _grid_posterior(draws, event.prior, event.resolution, n, u_n)
     std = (nodes[..., 0] - theta_gen[0]) * float(i_sqrt[0, 0]) / u_n
     inside = reg.contains(std.reshape(-1, 1)).reshape(std.shape)
@@ -443,7 +440,7 @@ def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
         wald = n * np.einsum("ri,ij,rj->r", diff, pt.fisher.matrix, diff)
         return np.abs(2.0 * sum_xi - wald) > 2.0 * event.delta * n * u_n**2
     # lr_vs_psi2
-    center = _psi_matrix(pt, draws) - math.sqrt(n) * u_n * pt.b[None, :]
+    center = _psi_matrix(pt, draws) - 0.5 * math.sqrt(n) * u_n * (pt.fisher.sqrt @ pt.b)[None, :]
     quad = 2.0 * np.sum(center * center, axis=1)
     return np.abs(sum_xi - quad) > event.delta * n * u_n**2
 
@@ -554,110 +551,21 @@ def _pilot_tilts(pt: _Point):
 # ---------------------------------------------------------------------------
 
 
-def _log_interval(lo: float, hi: float) -> float:
-    """log P(lo < Z < hi) for Z ~ N(0, 1), from the tail on the interval's
-    side of 0 so that a deep-tail interval keeps its digits."""
-    if lo >= 0.0:
-        a, b = float(sps.norm.logsf(lo)), float(sps.norm.logsf(hi))
-    elif hi <= 0.0:
-        a, b = float(sps.norm.logcdf(hi)), float(sps.norm.logcdf(lo))
-    else:
-        return math.log(sps.norm.cdf(hi) - sps.norm.cdf(lo))
-    return a + math.log(-math.expm1(b - a)) if b < a else -math.inf
-
-
-def _gaussian_region_logtail(region: RegionSpec, scale: float) -> float:
-    """log P(Z in region) for Z ~ N(0, scale^{-2} Id): the exact tails the
-    Monte Carlo estimates are judged against, all in the log domain."""
-    if region.shape == "half_space":
-        return float(sps.norm.logsf(region.c * scale))
-    if region.shape == "complement_ball":
-        return float(sps.chi2.logsf((region.r * scale) ** 2, df=region.d))
-    if region.shape == "box":
-        return sum(_log_interval(lo * scale, hi * scale) for lo, hi in zip(region.lo, region.hi))
-    if region.shape == "complement_box":
-        # 1 - prod_i (1 - q_i) = sum_i q_i prod_{j<i} (1 - q_j), q_i the
-        # probability that axis i leaves [lo_i, hi_i]: no cancellation
-        terms, log_stay = [], 0.0
-        for lo, hi in zip(region.lo, region.hi):
-            log_q = float(np.logaddexp(sps.norm.logcdf(lo * scale), sps.norm.logsf(hi * scale)))
-            terms.append(log_stay + log_q)
-            log_stay += math.log1p(-math.exp(log_q))
-        return float(logsumexp(terms))
-    raise DomainError(f"no exact tail for region shape {region.shape!r}")
-
-
 def _exact_tail(pt: _Point) -> float:
-    """log p in closed form, where the estimator has one: gaussian and
-    gaussian2 MLE, psi and flat-prior Bayes events as Gaussian region tails
-    (posterior box truncation acts below double precision; the score
-    truncation is inactive at these scales by assumption); posterior mass on
-    1-d Gaussian, flat prior, half-space; Bernoulli MLE, and psi while the
-    truncation cannot bind, as binomial atom sums; exponential, and odd-n
-    Laplace, MLE on half-spaces.  Anything else raises DomainError."""
-    event, fam, n, u_n = pt.event, pt.fam, pt.n, pt.u_n
-    region = _event_region(event)
-    if region is None:
+    """log p in closed form from the family's log_tail hook, after the
+    refusals that hold for every family; DomainError where there is none."""
+    event = pt.event
+    if _event_region(event) is None:
         raise DomainError("no exact tail oracle for discrepancy events")
-    if isinstance(event, BayesEvent):
-        # a flat-prior Gaussian posterior is symmetric about xbar, so both
-        # closed-form Bayes estimates (posterior mean and median) are xbar
-        if not (
-            fam.name in ("gaussian", "gaussian2")
-            and event.prior.kind == "flat"
-            and bayes_loss_supported(event.loss, fam.d)
-        ):
-            raise DomainError(
-                "exact Bayes tails need Gaussian, flat prior, squared or 1-d absolute loss"
-            )
-    if isinstance(event, PosteriorMassEvent):
-        if not (fam.name == "gaussian" and event.prior.kind == "flat" and region.shape == "half_space"):
-            raise DomainError("exact posterior-mass tails need Gaussian, flat prior, half-space")
-        z = float(sps.norm.isf(event.threshold))
-        return float(sps.norm.logsf(math.sqrt(n) * u_n * region.c - z))
+    if event.estimator in ("bayes", "posterior_mass") and event.prior.kind != "flat":
+        raise DomainError(f"exact {type(event).__name__} tails need a flat prior")
+    if event.estimator == "bayes" and not bayes_loss_supported(event.loss, pt.fam.d):
+        raise DomainError("exact Bayes tails need squared or 1-d absolute loss")
 
-    if fam.name in ("gaussian", "gaussian2"):
-        return _gaussian_region_logtail(region, math.sqrt(n) * u_n)
+    def hits(stats, obs, counts):
+        return np.asarray(_indicator(pt, _Draws(pt.fam, pt.n, stats, obs, counts)), dtype=bool)
 
-    if fam.name == "bernoulli" and isinstance(event, (MleEvent, PsiEvent)):
-        if isinstance(event, PsiEvent):
-            t0 = float(pt.theta0[0])
-            phimax = max(t0, 1.0 - t0) / (2.0 * t0 * (1.0 - t0))
-            if pt.eps / u_n <= phimax:
-                raise DomainError("truncation active: no exact tail for the truncated score")
-        # the kernel's own indicator on each atom k = 0..n, as the weighted
-        # sample of k ones and n - k zeros: a sf/floor shortcut can put a
-        # boundary atom on the wrong side of the open region, and deep in
-        # the tail one atom is a large fraction of the mass
-        ks = np.arange(n + 1, dtype=float)
-        samples = np.tile([1.0, 0.0], (n + 1, 1))
-        atoms = _Draws(fam, n, ks[:, None], samples, np.stack((ks, n - ks), axis=1))
-        mask = np.asarray(_indicator(pt, atoms), dtype=bool)
-        if not mask.any():
-            return -math.inf
-        return float(logsumexp(sps.binom.logpmf(ks[mask], n, float(pt.theta_gen[0]))))
-
-    if fam.name == "laplace" and isinstance(event, MleEvent) and region.shape == "half_space":
-        # by symmetry either direction asks whether the median passes theta_gen
-        # by s, which it does when at least (n + 1) / 2 of the n draws do
-        if n % 2 == 0:
-            raise DomainError("the Laplace median tail is closed-form for odd n only")
-        s = u_n * region.c / float(pt.fisher.sqrt[0, 0])
-        q = 0.5 * math.exp(-s) if s >= 0 else 1.0 - 0.5 * math.exp(s)
-        return float(sps.binom.logsf((n - 1) // 2, n, q))
-
-    if fam.name == "exponential" and isinstance(event, MleEvent) and region.shape == "half_space":
-        t0 = float(pt.theta0[0])
-        tg = float(pt.theta_gen[0])
-        a = float(region.a[0])
-        rate_thr = tg + u_n * region.c * t0 / a  # estimate 1/xbar crosses this
-        if rate_thr <= 0:
-            return 0.0 if a > 0 else -math.inf
-        if a > 0:
-            return float(sps.gamma.logcdf(n / rate_thr, a=n, scale=1.0 / tg))
-        return float(sps.gamma.logsf(n / rate_thr, a=n, scale=1.0 / tg))
-
-    raise DomainError(f"no exact tail oracle for family {fam.name!r} with this event")
+    return pt.fam.log_tail(pt, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +605,8 @@ def estimate_prob(
         raise GridError("eps must be positive")
     if n < 2:
         raise GridError("n must be at least 2")
+    if method != "exact" and n_reps < 1:
+        raise GridError("n_reps must be at least 1")
     theta_gen = theta0 + u_n * b
     if not fam.theta_domain.contains(theta_gen):
         raise DomainError(f"theta_gen {theta_gen.tolist()} outside the parameter domain")

@@ -4,7 +4,10 @@ plus config validation, manifest reruns, and the report validator."""
 import importlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -460,3 +463,10 @@ def test_version_flag_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of a cold start; only the exact-tail hooks import it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import modev.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -62,6 +62,18 @@ def test_exact_gaussian_half_space_tail():
     assert not r.upper_bound
 
 
+def test_closed_forms_follow_the_family_class_not_its_name():
+    fam = get_family("gaussian")
+    renamed = replace(fam, name="renamed")
+    n, u = 256, 256**-0.25
+    mle, mass = MleEvent(HALF(1.0)), PosteriorMassEvent(HALF(1.0))
+    exact = [estimate_prob(mle, f, np.zeros(1), n, u, method="exact") for f in (fam, renamed)]
+    assert exact[1].log_p == exact[0].log_p
+    # the renamed family's posterior mass reads the conjugate CDF, not a grid
+    mc = [estimate_prob(mass, f, np.zeros(1), n, u, n_reps=2000, seed=3) for f in (fam, renamed)]
+    assert mc[1] == mc[0]
+
+
 def test_exact_gaussian_complement_ball_tail():
     fam = get_family("gaussian")
     region = RegionSpec("complement_ball", d=1, r=1.0)
@@ -345,6 +357,12 @@ def test_estimate_prob_validation():
         estimate_prob(ev, fam, np.zeros(1), 1, 0.1)
     with pytest.raises(GridError):
         estimate_prob(ev, fam, np.zeros(1), 100, 0.1, method="antithetic")
+    for method in ("crude", "tilted"):
+        with pytest.raises(GridError, match="n_reps"):
+            estimate_prob(ev, fam, np.zeros(1), 64, 0.3, method=method, n_reps=0)
+    # an exact tail draws nothing, so it reads no replication count
+    exact = estimate_prob(ev, fam, np.zeros(1), 64, 0.3, method="exact", n_reps=0)
+    assert exact.log_p == pytest.approx(float(sps.norm.logsf(8.0 * 0.3)), rel=1e-14)
     with pytest.raises(DomainError):
         # theta_gen = 0.9 + 0.5 leaves (0, 1)
         estimate_prob(ev, get_family("bernoulli"), np.array([0.9]), 100, 0.5, b=np.array([1.0]))
@@ -796,6 +814,19 @@ def test_gaussian_lr_couplings_never_fail(family, kind):
     r = estimate_prob(
         DiscrepancyEvent(kind, 0.125), fam, np.zeros(fam.d), n, n**-0.25,
         method="crude", n_reps=400, seed=1,
+    )
+    assert r.upper_bound
+    assert r.p_hat == 0.0
+
+
+@pytest.mark.parametrize("b", (0.5, 1.0))
+def test_gaussian_lr_vs_psi2_never_fails_off_theta0(b):
+    # At theta_gen = theta0 + u_n b, sum_xi = 2 |psi - sqrt(n) u_n b / 2|^2
+    # exactly while the truncation is inactive, so the coupling holds at any b.
+    n = 1024
+    r = estimate_prob(
+        DiscrepancyEvent("lr_vs_psi2", 0.125), get_family("gaussian"), np.zeros(1), n,
+        n ** (-1 / 3), b=[b], method="crude", n_reps=2000, seed=0,
     )
     assert r.upper_bound
     assert r.p_hat == 0.0
