@@ -10,6 +10,7 @@ Logs go to stderr; artifact files carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -436,7 +437,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; --workers defaults to None,
+    which main resolves to _usable_cpus() at each call."""
     parser = argparse.ArgumentParser(
         prog="modev",
         description="moderate-deviation estimators, condition checks, and rare-event curves",
@@ -449,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            default=_usable_cpus(),
+            default=None,
             help="worker processes (default: the CPUs this process may run on;"
             " results do not depend on it)",
         )
@@ -463,11 +467,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, args.seed_override)
-        if args.workers < 1:
+        workers = _usable_cpus() if args.workers is None else args.workers
+        if workers < 1:
             raise ConfigError("--workers must be at least 1")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = _RUNNERS[args.command](cfg, args.workers, out_dir)
+        artifacts = _RUNNERS[args.command](cfg, workers, out_dir)
         _write_manifest(out_dir, args.command, cfg, artifacts)
     except ConfigError as e:
         log.error("%s", e)

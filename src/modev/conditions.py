@@ -15,9 +15,12 @@ centered log-ratio moments (E), and loss regularity.
 
 B and C1b share one truncated-moment integrator, _truncated_moment: the
 crossings of |g| = t come from one array scan (a root on a scan node
-counts), 1-d supports are integrated whole with the crossings as breaks,
-where a piece that does not converge raises QuadratureError, and planar
-supports along polar rays, all rays scanned as one (ray, radius) array.
+counts), and every sign change is refined at once by _refine, a batched
+Chandrupatla bracketing method, to brentq's default tolerance.  1-d
+supports are integrated whole with the crossings as breaks, where a
+quadrature that does not converge raises QuadratureError, and planar
+supports along polar rays, all rays scanned and refined as one (ray,
+radius) array.
 
 A0, B and D take an inf or sup over theta.  For a location family
 (ParametricFamily.location) the integral does not depend on theta, so they
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DivergenceError,
@@ -109,21 +111,122 @@ def _jsonable(obj):
 
 _SCAN_NODES = 4001
 _RAYS = 64
+# the rays' unit directions at angles 2 pi j / _RAYS: the first quadrant's,
+# then their exact quarter turns (x, y) -> (-y, x), so that a quarter turn of
+# the integrand maps the rays onto each other bit for bit
+_QUADRANT = np.array(
+    [[math.cos(2.0 * math.pi * j / _RAYS), math.sin(2.0 * math.pi * j / _RAYS)]
+     for j in range(_RAYS // 4)]
+)
+_TURNED = _QUADRANT[:, ::-1] * [-1.0, 1.0]
+_RAY_DIRECTIONS = np.concatenate([_QUADRANT, _TURNED, -_QUADRANT, -_TURNED])
+# a bracket narrower than _XTOL + _RTOL |x| holds its root (brentq's defaults)
+_XTOL = 1e-12
+_RTOL = 4.0 * np.finfo(float).eps
+_REFINE_ROUNDS = 100
+
+
+def _refine(fn: Callable, x1, x2, f1, f2) -> np.ndarray:
+    """Roots in the brackets [x1_i, x2_i], where f1_i and f2_i differ in sign.
+
+    Chandrupatla's method (Chandrupatla, Adv. Eng. Softw. 28, 1997) on every
+    bracket at once: inverse quadratic interpolation where it is safe,
+    bisection elsewhere.  fn(x, i) evaluates bracket i[j]'s function at x[j]
+    for the brackets still open, one call per round.  A bracket closes on an
+    exact zero or once narrower than _XTOL + _RTOL |x|, and each bracket's
+    steps depend on its own values only.
+    """
+    x1, x2 = np.array(x1, dtype=float), np.array(x2, dtype=float)
+    f1, f2 = np.array(f1, dtype=float), np.array(f2, dtype=float)
+    t = np.full(x1.size, 0.5)
+    root = np.empty(x1.size)
+    open_ = np.arange(x1.size)
+    for _ in range(_REFINE_ROUNDS):
+        if open_.size == 0:
+            break
+        xt = x1 + t * (x2 - x1)
+        ft = np.asarray(fn(xt, open_), dtype=float)
+        # the new point replaces the end of its own sign; x3 keeps the one dropped
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        # the end nearer zero is the root so far, and final once the bracket closes
+        near = np.abs(f1) < np.abs(f2)
+        xm = np.where(near, x1, x2)
+        root[open_] = xm
+        tol = _XTOL + _RTOL * np.abs(xm)
+        dx = np.abs(x2 - x1)
+        live = (np.where(near, f1, f2) != 0.0) & (dx > tol)
+        open_ = open_[live]
+        x1, x2, x3, f1, f2, f3 = (v[live] for v in (x1, x2, x3, f1, f2, f3))
+        tol, dx = tol[live], dx[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(
+                iqi,
+                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                0.5,
+            )
+        lim = 0.5 * tol / dx
+        t = np.clip(t, lim, 1.0 - lim)
+    return root
+
+
+def _row_crossings(fn: Callable, grid: np.ndarray, values: np.ndarray) -> tuple:
+    """Roots of each row's function over the grid: (rows, roots), sorted by
+    row, then root.
+
+    values[k] holds row k's function on the grid, and fn(x, k) evaluates row
+    k[j]'s function at x[j].  A node where a row is exactly zero is a root,
+    and each sign change between neighbouring finite values is refined by
+    _refine, all rows' brackets at once.
+    """
+    ok = np.isfinite(values)
+    node_rows, node_cols = np.nonzero(ok & (values == 0.0))
+    rows, cols = np.nonzero(ok[:, :-1] & ok[:, 1:] & (values[:, :-1] * values[:, 1:] < 0.0))
+    refined = _refine(
+        lambda x, i: fn(x, rows[i]), grid[cols], grid[cols + 1],
+        values[rows, cols], values[rows, cols + 1],
+    )
+    rows = np.concatenate([node_rows, rows])
+    roots = np.concatenate([grid[node_cols], refined])
+    order = np.lexsort((roots, rows))
+    return rows[order], roots[order]
 
 
 def _crossings(fn: Callable, grid: np.ndarray, values=None) -> list[float]:
     """Roots of the vectorized fn over the grid's span, sorted.
 
     fn is evaluated once on the whole grid, unless its values there are
-    given; a node where it is exactly zero is a root, and each sign change
-    between neighbouring finite values is refined by brentq.
+    given; a node where it is exactly zero is a root, and the sign changes
+    between neighbouring finite values are refined together by _refine.
     """
     v = np.asarray(fn(grid) if values is None else values, dtype=float)
-    ok = np.isfinite(v)
-    roots = [float(s) for s in grid[ok & (v == 0.0)]]
-    for i in np.nonzero(ok[:-1] & ok[1:] & (v[:-1] * v[1:] < 0.0))[0]:
-        roots.append(optimize.brentq(lambda s: float(fn(s)), grid[i], grid[i + 1], xtol=1e-12))
-    return sorted(roots)
+    _, roots = _row_crossings(lambda x, k: fn(x), grid, v[None, :])
+    return roots.tolist()
+
+
+def _ray_segments(starts, ends, nodes, wts) -> tuple:
+    """Panelwise Gauss-Legendre on the radial segments [starts_s, ends_s]:
+    (segment, radius, weight times radius) per node, segment by segment.
+
+    Each segment is cut into max(1, ceil(length)) equal panels with the
+    edges np.linspace would give; panels of width <= 1 keep the rule
+    resolved against the unit-scale decay of the density.
+    """
+    panels = np.maximum(1, np.ceil(ends - starts)).astype(int)
+    seg = np.repeat(np.arange(starts.size), panels)
+    j = np.arange(seg.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    step = ((ends - starts) / panels)[seg]
+    left = j * step + starts[seg]
+    right = np.where(j + 1 == panels[seg], ends[seg], (j + 1) * step + starts[seg])
+    half = (0.5 * (right - left))[:, None]
+    r = (half * nodes + (left[:, None] + half)).ravel()
+    return np.repeat(seg, nodes.size), r, (half * wts).ravel() * r
 
 
 def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) -> tuple[float, bool]:
@@ -137,11 +240,12 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
     60) the crossings split the ray, each active segment gets panelwise
     Gauss-Legendre, and the trapezoid rule over the angle converges
     geometrically for the smooth periodic remainder.  |g| - t is evaluated
-    on all rays' scan nodes as one array, so each ray's crossing search sees
-    the values a scan of that ray alone would.  Where the exponent
-    log_h + log f passes 690, exp would pass 1e300: the exponent is clipped
-    there and the flag is set, and a quadrature that then fails to converge
-    reports inf instead of raising.
+    on all rays' scan nodes as one array, every ray's sign changes are
+    refined by one batched _refine, and every segment's midpoint is probed
+    by one call of g, so each ray sees what a scan of that ray alone would.
+    Where the exponent log_h + log f passes 690, exp would pass 1e300: the
+    exponent is clipped there and the flag is set, and a quadrature that
+    then fails to converge reports inf instead of raising.
     """
     over = False
 
@@ -161,34 +265,29 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
         reach = min(span, 60.0)
         nodes, wts = np.polynomial.legendre.leggauss(24)
         radii = np.linspace(0.0, reach, _SCAN_NODES)
-        angles = [2.0 * math.pi * j / _RAYS for j in range(_RAYS)]
-        directions = np.array([[math.cos(a), math.sin(a)] for a in angles])
+
+        def on_rays(r, ray):
+            return theta + r[:, None] * _RAY_DIRECTIONS[ray]
+
         # |g| - t on every (ray, radius) node at once; row j is what a scan of
         # ray j alone would see.  The nodes are laid out coordinate-major, so
         # the elementwise passes run along the radii
-        nodes_xy = theta[:, None, None] + directions.T[:, :, None] * radii
+        nodes_xy = theta[:, None, None] + _RAY_DIRECTIONS.T[:, :, None] * radii
         scan = np.abs(g(np.moveaxis(nodes_xy, 0, -1))) - t
-        points, weights = [], []
-        for direction, values in zip(directions, scan):
-
-            def ray(r, direction=direction):
-                return theta + np.multiply.outer(r, direction)
-
-            roots = _crossings(lambda r: np.abs(g(ray(r))) - t, radii, values)
-            edges = [0.0] + roots + [reach]
-            for a, b in zip(edges[:-1], edges[1:]):
-                if b - a < 1e-12 or abs(g(ray(0.5 * (a + b)))) <= t:
-                    continue
-                # panels of width <= 1 keep Gauss-Legendre resolved against the
-                # unit-scale decay of the density
-                panel_edges = np.linspace(a, b, max(1, math.ceil(b - a)) + 1)
-                half = 0.5 * np.diff(panel_edges)[:, None]
-                r = (half * nodes + (panel_edges[:-1, None] + half)).ravel()
-                points.append(ray(r))
-                weights.append((half * wts).ravel() * r)
-        if not points:
+        rays, roots = _row_crossings(lambda r, ray: np.abs(g(on_rays(r, ray))) - t, radii, scan)
+        # each ray's segments run from 0 through its roots to reach
+        counts = np.bincount(rays, minlength=_RAYS)
+        seg_ray = np.repeat(np.arange(_RAYS), counts + 1)
+        at = np.arange(rays.size) + rays  # a root ends segment `at` and starts `at + 1`
+        starts, ends = np.zeros(seg_ray.size), np.full(seg_ray.size, reach)
+        ends[at], starts[at + 1] = roots, roots
+        keep = ends - starts >= 1e-12
+        seg_ray, starts, ends = seg_ray[keep], starts[keep], ends[keep]
+        active = np.abs(g(on_rays(0.5 * (starts + ends), seg_ray))) > t
+        if not active.any():
             return 0.0, False
-        val = float(integrand(np.concatenate(points)) @ np.concatenate(weights))
+        seg, r, w = _ray_segments(starts[active], ends[active], nodes, wts)
+        val = float(integrand(on_rays(r, seg_ray[active][seg])) @ w)
         return val * (2.0 * math.pi / _RAYS), over
 
     breaks = list(breaks)

@@ -94,9 +94,16 @@ def psi_n(
     return fisher.inv_sqrt @ s / np.sqrt(sample.n)
 
 
-def _zeta(u, s_eps, n: int, i_mat) -> float:
-    """The quadratic model 2 u's_eps - n u'Iu/2 at one displacement."""
-    return float(2.0 * u @ s_eps - 0.5 * n * u @ i_mat @ u)
+def _row_dot(a, b) -> np.ndarray:
+    """a[i] @ b[i] (or a[i] @ b for a 1-d b) per row, each a dot product of
+    its own that rounds as the 1-d product of that row alone."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _zeta(u, s_eps, n: int, i_mat) -> np.ndarray:
+    """The quadratic model 2 u's_eps - n u'Iu/2 at each row of the (G, d)
+    stack u, shaped (G,)."""
+    return _row_dot(2.0 * u, s_eps) - _row_dot(0.5 * n * u @ i_mat, u)
 
 
 def zeta_n(
@@ -110,7 +117,8 @@ def zeta_n(
     """2 u'S_eps - n u'Iu/2 with S_eps the truncated score sum."""
     fisher = fisher or fisher_information(fam, theta0)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return _zeta(u, _sum_phi_eps(fam, sample, theta0, policy), sample.n, fisher.matrix)
+    s_eps = _sum_phi_eps(fam, sample, theta0, policy)
+    return float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
 
 
 def loglr_sum(fam: ParametricFamily, sample: SampleBatch, theta0, b, u, u_n: float) -> float:
@@ -142,7 +150,7 @@ def lan_residual(
     u = np.atleast_1d(np.asarray(u, dtype=float))
     s_xi = loglr_sum(fam, sample, theta0, b, u, policy.u_n)
     s_eps = _sum_phi_eps(fam, sample, theta0, policy)
-    z = _zeta(u, s_eps, sample.n, fisher.matrix)
+    z = float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
     psi = fisher.inv_sqrt @ s_eps / np.sqrt(sample.n)
     return LanDecomposition(b=b, u=u, sum_xi=s_xi, zeta=z, psi=psi, residual=s_xi - z)
 
@@ -196,12 +204,12 @@ def sup_lan_residual(
         raise DomainError(f"grid point {bad.tolist()} outside domain")
     obs = sample.observations
     lf_base = np.sum(fam.log_density(obs, base))
+    zeta = _zeta(grid, s_eps, sample.n, fisher.matrix)
     block = max(1, _SUP_BLOCK_VALUES // obs.size)
     worst = 0.0
     for lo in range(0, grid.shape[0], block):
         s_xi = np.sum(fam.log_density(obs, shifted[lo : lo + block, None, :]), axis=-1) - lf_base
-        for u, s in zip(grid[lo : lo + block], s_xi):
-            worst = max(worst, abs(float(s) - _zeta(u, s_eps, sample.n, fisher.matrix)))
+        worst = max(worst, float(np.max(np.abs(s_xi - zeta[lo : lo + block]))))
     return worst
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import modev
 from modev import PriorSpec, RegionSpec, get_family
+from modev import cli
 from modev.cli import _CURVE_HEADER, _RUNNERS, _build_event, main
 from modev.config import load_config
 
@@ -312,6 +313,31 @@ def test_rejects_nonpositive_workers(tmp_path):
     assert rc == 2
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    rc, conds = run(tmp_path, "check-conditions",
+                    {"family": "gaussian", "theta0": [0.0], "checks": ["loss"]}, out="c")
+    assert rc == 0
+    rc, lan = run(tmp_path, "lan-check", {"family": "gaussian", "n_values": [64],
+                                          "u_multipliers": [0.5], "radius": 1.0}, out="l")
+    assert rc == 0
+    assert read_manifest(conds)["artifacts"] == ["conditions.json"]
+    assert read_manifest(lan)["artifacts"] == ["lan_check.csv", "lan_sup.csv"]
+
+
+def test_default_workers_follow_the_affinity_mask_at_each_call(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(_RUNNERS, "check-conditions",
+                        lambda cfg, workers, out_dir: seen.append(workers) or [])
+    cfg_path = write_config(tmp_path, "c.json", {"family": "gaussian", "checks": ["loss"]})
+    argv = ["check-conditions", "--config", cfg_path, "--out", str(tmp_path / "o")]
+    for cpus in (3, 5):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert main(argv) == 0
+    assert main([*argv, "--workers", "2"]) == 0
+    assert seen == [3, 5, 2]
+
+
 def test_rejects_coarse_lan_grid(tmp_path):
     rc, _ = run(tmp_path, "lan-check", {"family": "gaussian", "grid_step_divisor": 10.0})
     assert rc == 2
@@ -463,6 +489,15 @@ def test_version_flag_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_cli_import_leaves_quadrature_and_root_finding_unloaded():
+    # the condition checks integrate and refine roots with their own array code
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = ("import modev.cli, sys\n"
+            "loaded = {'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -388,9 +388,7 @@ def _planar_moment_per_ray(fam, theta, log_h, g, t, span):
     nodes, wts = np.polynomial.legendre.leggauss(24)
     radii = np.linspace(0.0, reach, conditions._SCAN_NODES)
     points, weights = [], []
-    for j in range(conditions._RAYS):
-        ang = 2.0 * math.pi * j / conditions._RAYS
-        direction = np.array([math.cos(ang), math.sin(ang)])
+    for direction in conditions._RAY_DIRECTIONS:
 
         def ray(r, direction=direction):
             return theta + np.multiply.outer(r, direction)
@@ -477,6 +475,17 @@ def test_c_truncated_moment_keeps_a_root_on_a_scan_node():
         assert got == pytest.approx(0.5 * (a * sps.norm.pdf(a) + sps.norm.sf(a)), rel=1e-6)
 
 
+def test_c_exponential_truncated_moment_matches_closed_form():
+    # phi = (1 - x)/2 at theta = 1, so |phi| > eps/u above x = 1 + a with
+    # a = 2 eps/u: E[phi^2 1(X > 1 + a)] = (a^2 + 2a + 2) e^{-(1 + a)} / 4
+    u = (0.2, 0.1, 0.05, 0.02)
+    rep = check_c(get_family("exponential"), [1.0], u, 1.0, 1.0)
+    for uk, got in zip(u, _truncated_phi2(rep.witnesses)):
+        a = 2.0 * 0.5 / uk
+        want = (a * a + 2.0 * a + 2.0) * math.exp(-(1.0 + a)) / 4.0
+        assert got == pytest.approx(want, rel=1e-8 if want > 1e-10 else 1e-5, abs=0.0), uk
+
+
 def test_c_planar_truncated_moment_matches_chi2_tail():
     # |phi|^2 = R^2/4 with R^2 ~ chi2_2: E[|phi|^2 1(R > a)] = (a^2/2 + 1) e^{-a^2/2} / 2;
     # at u = 0.25 the crossing R = 22 was lost as a node of the old radial scan
@@ -506,6 +515,89 @@ def test_crossings_count_a_root_on_a_node():
     grid = np.linspace(0.0, 2.0, 5)
     assert _crossings(lambda s: s - 1.0, grid) == [1.0]  # on the node 1.0
     assert _crossings(lambda s: s - 1.25, grid) == [pytest.approx(1.25, abs=1e-12)]
+
+
+def _brentq_roots(fn, grid):
+    """The scalar oracle: a root on a node, and brentq in every sign change."""
+    from scipy import optimize
+
+    v = fn(grid)
+    roots = list(grid[v == 0.0])
+    for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]:
+        roots.append(optimize.brentq(lambda s: float(fn(s)), grid[i], grid[i + 1], xtol=1e-12))
+    return sorted(roots)
+
+
+@pytest.mark.parametrize(
+    "fn, grid",
+    [
+        # several roots along one ray, at k pi
+        (np.sin, np.linspace(0.5, 40.0, 23)),
+        # a root on a scan node (2.0) next to refined ones
+        (lambda s: (s - 2.0) * (s - 4.3) * (s - 7.1), np.linspace(0.0, 10.0, 11)),
+        # a steep root, plain ones, and one in a bracket kinked at 8
+        (
+            lambda s: np.tanh(8.0 * (s - 1.1)) * (s - 5.0) * (np.abs(s - 8.0) - 0.5),
+            np.linspace(0.0, 9.0, 8),
+        ),
+    ],
+)
+def test_crossings_match_brentq(fn, grid):
+    got = conditions._crossings(fn, grid)
+    want = _brentq_roots(fn, grid)
+    assert len(got) == len(want) >= 3
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-12)
+
+
+def test_refine_brackets_of_mixed_width_at_once():
+    from scipy import optimize
+
+    # row i's function is exp(s) - c_i, in brackets from 1e-9 to 100 wide
+    c = np.array([1.5, 2.0, 30.0, 1e3, 7.25, 1e40])
+    width = np.array([1e-9, 1e-3, 0.5, 3.0, 20.0, 100.0])
+    lo = np.log(c) - 0.3 * width
+    hi = lo + width
+    calls = []
+
+    def fn(x, i):
+        calls.append(i.size)
+        return np.exp(x) - c[i]
+
+    got = conditions._refine(fn, lo, hi, np.exp(lo) - c, np.exp(hi) - c)
+    for k in range(c.size):
+        want = optimize.brentq(lambda s: math.exp(s) - c[k], lo[k], hi[k], xtol=1e-12)
+        assert abs(got[k] - want) <= 2e-12, k
+    # one call per round, on the brackets still open, far fewer than bisection's
+    assert calls[0] == c.size and len(calls) < 40
+
+
+def test_rows_refine_as_each_row_alone():
+    # (ray, radius) rows refined together give the roots each row gives alone
+    grid = np.linspace(0.0, 12.0, 40)
+    freq = np.array([0.7, 1.0, 1.9])
+
+    def fn(x, rows):
+        return np.sin(freq[rows] * x) - 0.2
+
+    rows, roots = conditions._row_crossings(fn, grid, fn(grid[None, :], np.arange(3)[:, None]))
+    for k in range(3):
+        alone = conditions._crossings(lambda x: np.sin(freq[k] * x) - 0.2, grid)
+        assert roots[rows == k].tolist() == alone
+        np.testing.assert_allclose(
+            alone, _brentq_roots(lambda x: np.sin(freq[k] * x) - 0.2, grid), rtol=0, atol=2e-12
+        )
+
+
+def test_planar_b_witnesses_are_invariant_under_quarter_turns():
+    # gaussian2 is isotropic, and the rays map onto each other under a
+    # quarter turn, so tau of one length gives one moment on every axis
+    fam = get_family("gaussian2")
+    for a in (0.05, 0.1, 0.15):
+        taus = [[a, 0.0], [0.0, a], [-a, 0.0], [0.0, -a]]
+        rep = check_moment_b(fam, [0.0, 0.0], 0.2, 0.5, 1.5, taus)
+        vals = np.array([w.value for w in rep.witnesses])
+        assert vals.min() > 0.0
+        assert (vals.max() - vals.min()) <= 1e-14 * vals.max(), a
 
 
 def test_c_planar_gaussian_exponents():

@@ -29,6 +29,7 @@ from modev import (
     phi_matrix,
     score,
 )
+from modev import families
 from modev.families import density_normalization, loglik_grid, tensor_rule
 
 ALL_FAMILIES = ("gaussian", "gaussian2", "bernoulli", "exponential", "laplace")
@@ -321,6 +322,104 @@ def test_expect_second_moments():
     assert expect(fam2, np.zeros(2), lambda x: np.sum(np.asarray(x) ** 2, axis=-1)) == pytest.approx(
         2.0, abs=1e-10
     )
+
+
+def test_gk21_rules_are_exact_to_their_degrees():
+    # the 21-node Kronrod rule integrates x^k exactly on [-1, 1] up to k = 31
+    # and its embedded 10-node Gauss rule up to k = 19
+    x = families._GK_NODES
+    assert x.size == 21 and np.all(np.diff(x) > 0) and np.count_nonzero(families._GK_GAUSS) == 10
+    np.testing.assert_array_equal(x[1::2][families._GK_GAUSS[1::2] > 0], x[1::2])
+    for k in range(33):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        kronrod = np.sum(x**k * families._GK_KRONROD)
+        gauss = np.sum(x**k * families._GK_GAUSS)
+        assert (abs(kronrod - exact) <= 1e-15) == (k <= 31 or k % 2 == 1), k
+        assert (abs(gauss - exact) <= 1e-15) == (k <= 19 or k % 2 == 1), k
+
+
+def _e_abs_cubed(a):
+    """E|Z - a|^3 for Z ~ N(0, 1)."""
+    return (a * a + 2.0) * 2.0 * sps.norm.pdf(a) + a * (a * a + 3.0) * (2.0 * sps.norm.cdf(a) - 1.0)
+
+
+@pytest.mark.parametrize(
+    "name, theta, h, want",
+    [
+        ("gaussian", 0.7, lambda x: 1.0, 1.0),
+        ("gaussian", 0.0, lambda x: x**4, 3.0),
+        ("exponential", 1.5, lambda x: 1.0, 1.0),
+        ("exponential", 1.5, lambda x: x**2, 2.0 / 1.5**2),
+        ("exponential", 0.5, lambda x: x**4, 24.0 / 0.5**4),
+        ("laplace", 0.3, lambda x: 1.0, 1.0),
+        ("laplace", 0.3, lambda x: np.abs(x - 0.3) ** 3, 6.0),
+        ("laplace", -2.0, lambda x: x**2, 2.0 + 4.0),
+        # |x - a|^3 is kinked at a = 0.3, inside the piece (0, inf)
+        ("gaussian", 0.0, lambda x: np.abs(x - 0.3) ** 3, _e_abs_cubed(0.3)),
+        ("gaussian", 1.0, lambda x: np.abs(x + 0.4) ** 3, _e_abs_cubed(1.4)),
+    ],
+)
+def test_integrate_support_matches_closed_forms(name, theta, h, want):
+    got = expect(get_family(name), theta, h)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _quad_oracle(fam, fn, breaks):
+    from scipy import integrate
+
+    lo = 0.0 if fam.support.kind == "halfline" else -np.inf
+    edges = [lo] + sorted(b for b in breaks if b > lo) + [np.inf]
+    return sum(
+        integrate.quad(lambda x: float(fn(np.asarray(x))), a, b, epsabs=1e-13, epsrel=1e-13,
+                       limit=500)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+@pytest.mark.parametrize(
+    "name, fn, breaks",
+    [
+        ("gaussian", lambda x: np.cos(3.0 * x) * np.exp(-0.5 * (x - 1.0) ** 2), [1.0]),
+        ("gaussian", lambda x: np.exp(-0.5 * x**2 + 0.9 * np.abs(x - 2.0)), [0.0, 2.0]),
+        ("gaussian", lambda x: np.exp(-np.abs(x - 0.25) - 0.5 * x**2), []),
+        ("exponential", lambda x: x**1.5 * np.log1p(x) * np.exp(-2.0 * x), []),
+        ("exponential", lambda x: np.where(x > 3.0, x**2, 0.0) * np.exp(-x), [1.0, 3.0]),
+        ("laplace", lambda x: np.abs(x) ** 2.5 * np.exp(-np.abs(x - 0.2)), [0.2, 0.0]),
+        ("laplace", lambda x: np.exp(-np.abs(x - 3.0) - 0.5 * np.abs(x + 1.0)), [3.0, -1.0]),
+    ],
+)
+def test_integrate_support_matches_adaptive_quadpack(name, fn, breaks):
+    fam = get_family(name)
+    want = _quad_oracle(fam, fn, breaks)
+    got = integrate_support(fam, fn, breaks)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: np.ones_like(x),  # the line's measure: diverges
+        lambda x: np.full_like(x, np.nan),
+    ],
+    ids=["divergent", "nan"],
+)
+def test_integrate_support_refuses_what_it_cannot_integrate(fn):
+    with pytest.raises(QuadratureError):
+        integrate_support(get_family("gaussian"), fn, [0.5])
+
+
+def test_integrate_support_stops_at_the_subinterval_cap():
+    # an oscillation no 21-node rule resolves: every subinterval keeps
+    # bisecting until each piece holds its 200
+    seen = []
+
+    def fn(x):
+        seen.append(x.size)
+        return np.sin(1e6 * x) * np.exp(-0.5 * x * x)
+
+    with pytest.raises(QuadratureError):
+        integrate_support(get_family("gaussian"), fn, [0.5])
+    assert sum(seen) >= 2 * families._QUAD_LIMIT * 21
 
 
 def test_integrate_support_binary_is_exact_sum():
