@@ -164,6 +164,13 @@ for _family, _theta0 in (("gaussian", [0.0]), ("laplace", [0.0]), ("exponential"
     RUNS.append(("check-conditions", f"a0-{_family}", {
         "family": _family, "theta0": _theta0, "checks": ["a0"], "a0_compact_halfwidth": 0.5,
     }))
+# DQM, A1/A2, D and E on the continuous families at their default configs;
+# A0 is left out, so these lines stay fixed when only the A0 integrals move
+for _family, _theta0 in (("gaussian", [0.0]), ("laplace", [0.0]), ("exponential", [1.0]),
+                         ("gaussian2", [0.0, 0.0])):
+    RUNS.append(("check-conditions", f"dqm-e-{_family}", {
+        "family": _family, "theta0": _theta0, "checks": ["dqm", "exp_moment", "d", "e"],
+    }))
 
 
 def main() -> int:

@@ -25,11 +25,10 @@ radius) array.
 A0, B and D take an inf or sup over theta.  For a location family
 (ParametricFamily.location) the integral does not depend on theta, so they
 integrate one theta per tau: A0 the first feasible theta of its scan, B the
-first feasible point of its neighborhood, D the first grid node.  A0
-integrates its pairs on 1-d continuous supports with a fixed panelled
-Gauss-Legendre rule split at theta and theta + tau, vectorized over the
-pairs, whose two orders must agree; a pair where they do not, and every pair
-on another support, goes to hellinger_affinity.
+first feasible point of its neighborhood, D the first grid node.  On 1-d
+continuous supports A0 integrates all its pairs as the rows of one call of
+the adaptive rule of integrate_support, each split at theta and theta + tau;
+on the other supports it calls hellinger_affinity pair by pair.
 """
 
 from __future__ import annotations
@@ -52,6 +51,8 @@ from .families import (
     Box,
     ParametricFamily,
     ScoreModel,
+    _integrate_line,
+    _leggauss,
     expect,
     fisher_information,
     hellinger_affinity,
@@ -198,14 +199,14 @@ def _row_crossings(fn: Callable, grid: np.ndarray, values: np.ndarray) -> tuple:
     return rows[order], roots[order]
 
 
-def _crossings(fn: Callable, grid: np.ndarray, values=None) -> list[float]:
+def _crossings(fn: Callable, grid: np.ndarray) -> list[float]:
     """Roots of the vectorized fn over the grid's span, sorted.
 
-    fn is evaluated once on the whole grid, unless its values there are
-    given; a node where it is exactly zero is a root, and the sign changes
-    between neighbouring finite values are refined together by _refine.
+    fn is evaluated once on the whole grid; a node where it is exactly zero
+    is a root, and the sign changes between neighbouring finite values are
+    refined together by _refine.
     """
-    v = np.asarray(fn(grid) if values is None else values, dtype=float)
+    v = np.asarray(fn(grid), dtype=float)
     _, roots = _row_crossings(lambda x, k: fn(x), grid, v[None, :])
     return roots.tolist()
 
@@ -263,7 +264,7 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
         # planar families are unit-scale (see integrate_support): past radius
         # 60 the density is below e^-1800, so longer rays would only add cost
         reach = min(span, 60.0)
-        nodes, wts = np.polynomial.legendre.leggauss(24)
+        nodes, wts = _leggauss(24)
         radii = np.linspace(0.0, reach, _SCAN_NODES)
 
         def on_rays(r, ray):
@@ -382,68 +383,17 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
 # ---------------------------------------------------------------------------
 
 
-# The 1-d A0 rule: between the breaks theta and theta + tau, panels no wider
-# than _A0_STEP; beyond them on each side, _A0_RINGS panels that double in
-# width, reaching _A0_STEP (2^_A0_RINGS - 1) ~ 2000 past the breaks
-_A0_STEP = 0.5
-_A0_RINGS = 12
-_A0_ORDERS = (24, 32)
-_A0_AGREE = 1e-13  # largest gap between the two orders that is accepted
-_A0_TAIL = 1e-20  # largest integrand accepted at an open end of the window
-_A0_PAIRS = 128  # pairs integrated at once
-
-
-def _a0_rule_1d(fam: ParametricFamily, theta: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """Affinities of the pairs (theta[i], shifted[i]) on a 1-d continuous support.
-
-    Each pair is integrated on its own panels at both orders of _A0_ORDERS.
-    The result is NaN, not trusted, where the orders differ by more than
-    _A0_AGREE or where the integrand at an open end of the window exceeds
-    _A0_TAIL.
-    """
-    a = np.minimum(theta, shifted)
-    b = np.maximum(theta, shifted)
-    inner = max(1, math.ceil(float(np.max(b - a)) / _A0_STEP))
-    ring = _A0_STEP * (2.0 ** np.arange(1, _A0_RINGS + 1) - 1.0)
-    edges = np.concatenate(
-        [
-            a[:, None] - ring[::-1],
-            a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, inner + 1),
-            b[:, None] + ring,
-        ],
-        axis=1,
-    )
-    if fam.support.kind == "halfline":
-        edges = np.maximum(edges, 0.0)  # panels left of 0 collapse to width 0
-    half = 0.5 * np.diff(edges, axis=1)
-    mid = edges[:, :-1] + half
-    t0, t1 = theta[:, None, None, None], shifted[:, None, None, None]
-
-    def root_product(x):
-        return np.exp(0.5 * (fam.log_density(x, t0) + fam.log_density(x, t1)))
-
-    vals = []
-    for order in _A0_ORDERS:
-        nodes, wts = np.polynomial.legendre.leggauss(order)
-        x = mid[:, :, None] + half[:, :, None] * nodes
-        vals.append(np.sum((root_product(x) @ wts) * half, axis=1))
-    ends = root_product(edges[:, None, [0, -1]])[:, 0, :]
-    if fam.support.kind == "halfline":
-        ends = ends[:, 1:]  # 0 is the end of the support, not of the window
-    ok = (np.abs(vals[1] - vals[0]) <= _A0_AGREE) & np.all(ends <= _A0_TAIL, axis=1)
-    return np.where(ok, vals[1], np.nan)
-
-
 def _a0_scan(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
     """H^2 over the feasible (theta, tau) pairs, first minimum in (theta, tau)
     order.
 
     A location family's H^2(theta, theta + tau) is the same at every theta,
-    so each tau is integrated at its first feasible theta only.  Pairs on a
-    1-d continuous support go through _a0_rule_1d, a block at a time; a pair
-    it does not trust, and every pair on another support, goes to
-    hellinger_affinity (an exact two-point sum on the binary support, the
-    two-order tensor rule of integrate_support on the plane).
+    so each tau is integrated at its first feasible theta only.  On a 1-d
+    continuous support every pair is a row of one call of _integrate_line,
+    split at theta and theta + tau, so each affinity is hellinger_affinity's
+    bit for bit; other pairs go to hellinger_affinity one at a time (an
+    exact two-point sum on the binary support, the two-order tensor rule of
+    integrate_support on the plane).
     """
     dom = fam.theta_domain
     hits = []  # (theta index, tau index)
@@ -454,15 +404,18 @@ def _a0_scan(fam: ParametricFamily, thetas: np.ndarray, taus) -> tuple:
     if not hits:
         return math.inf, None
     pairs = [(thetas[i], taus[j]) for i, j in sorted(hits)]
-    aff = np.full(len(pairs), np.nan)
     if fam.support.kind in ("real", "halfline"):
-        theta = np.array([p[0][0] for p in pairs])
-        shifted = theta + np.array([p[1][0] for p in pairs])
-        for lo in range(0, len(pairs), _A0_PAIRS):
-            sl = slice(lo, lo + _A0_PAIRS)
-            aff[sl] = np.minimum(_a0_rule_1d(fam, theta[sl], shifted[sl]), 1.0)
-    for i in np.nonzero(np.isnan(aff))[0]:
-        aff[i] = hellinger_affinity(fam, *pairs[i])
+        theta = np.array([p[0] for p in pairs])
+        shifted = theta + np.array([p[1] for p in pairs])
+
+        def root_product(x, row):
+            return np.exp(
+                0.5 * (fam.log_density(x, theta[row]) + fam.log_density(x, shifted[row]))
+            )
+
+        aff = np.minimum(_integrate_line(root_product, fam, np.hstack([theta, shifted])), 1.0)
+    else:
+        aff = np.array([hellinger_affinity(fam, *p) for p in pairs])
     h2 = 2.0 * (1.0 - aff)
     i = int(np.argmin(h2))
     return float(h2[i]), (pairs[i][0].copy(), pairs[i][1].copy())

@@ -736,13 +736,14 @@ _GK_GAUSS[1::2] = _WG
 _GK_GAUSS = np.concatenate([_GK_GAUSS, _GK_GAUSS[-2::-1]])
 
 
-def _gk21(fn, lo, hi, anchor, side) -> tuple[np.ndarray, np.ndarray]:
+def _gk21(fn, lo, hi, anchor, side, row) -> tuple[np.ndarray, np.ndarray]:
     """QK21 on every interval [lo_i, hi_i] at once, with one call of fn.
 
     Returns each interval's Kronrod value and QUADPACK's error estimate.
     Where side_i is 0 the interval is in x; where it is +1 (-1) it is in
     t of x = anchor_i + (1 - t)/t (anchor_i - (1 - t)/t), and fn carries the
-    Jacobian 1/t^2, as in QUADPACK's QAGI.
+    Jacobian 1/t^2, as in QUADPACK's QAGI.  fn(x, r) evaluates row r[j]'s
+    integrand at x[j], interval i's nodes being row row_i's.
     """
     half = 0.5 * (hi - lo)
     t = (lo + half)[:, None] + half[:, None] * _GK_NODES
@@ -750,7 +751,8 @@ def _gk21(fn, lo, hi, anchor, side) -> tuple[np.ndarray, np.ndarray]:
     mapped = side != 0
     tm = t[mapped]
     x[mapped] = anchor[mapped, None] + side[mapped, None] * ((1.0 - tm) / tm)
-    f = np.array(np.broadcast_to(np.asarray(fn(x.ravel()), dtype=float), x.size)).reshape(x.shape)
+    f = np.asarray(fn(x.ravel(), np.repeat(row, _GK_NODES.size)), dtype=float)
+    f = np.array(np.broadcast_to(f, x.size)).reshape(x.shape)
     # a value that overflows here makes the total non-finite, which the caller
     # reports
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -768,49 +770,76 @@ def _gk21(fn, lo, hi, anchor, side) -> tuple[np.ndarray, np.ndarray]:
     return kronrod * half, err
 
 
-def _integrate_line(fn, lo: float, breaks) -> float:
-    """Adaptive QK21 over (lo, inf), split at the breaks; see integrate_support."""
-    pts = sorted({float(b) for b in breaks if np.isfinite(b) and b > lo})
-    if lo == -np.inf and not pts:
-        pts = [0.0]
-    edges = [lo] + pts + [np.inf]
-    pieces = np.array([
-        (0.0, 1.0, b, -1.0) if a == -np.inf else (0.0, 1.0, a, 1.0) if b == np.inf
-        else (a, b, 0.0, 0.0)
-        for a, b in zip(edges[:-1], edges[1:])
-    ])
-    p_lo, p_hi, anchor, side = pieces.T
-    # each piece may spend 1/len(pieces) of the tolerance, spread by width
-    share = 1.0 / ((p_hi - p_lo) * len(pieces))
-    a, b, piece = p_lo, p_hi, np.arange(len(pieces))
-    res, err = _gk21(fn, a, b, anchor, side)
+def _integrate_line(fn, fam: ParametricFamily, breaks) -> np.ndarray:
+    """Adaptive QK21 over the family's 1-d support for every row of breaks
+    at once; see integrate_support, which integrates one row.
+
+    breaks[k] holds row k's breakpoints, and fn(x, row) evaluates row
+    row[j]'s integrand at x[j].  Each round calls fn once, on the new
+    subintervals of every row still open.  A row keeps its own pieces,
+    tolerance and subinterval cap, and its subintervals stay contiguous in
+    the order the row alone would give them, so its total, their np.sum, is
+    the row's alone bit for bit.  Returns the rows' integrals; a row that
+    fails raises QuadratureError.
+    """
+    lo = 0.0 if fam.support.kind == "halfline" else -np.inf
+    pieces = []  # (lo, hi, anchor, side, row, the row's piece count)
+    for k, row_breaks in enumerate(breaks):
+        pts = sorted({float(b) for b in row_breaks if np.isfinite(b) and b > lo})
+        if lo == -np.inf and not pts:
+            pts = [0.0]
+        edges = [lo] + pts + [np.inf]
+        pieces += [
+            ((0.0, 1.0, b, -1.0) if a == -np.inf else (0.0, 1.0, a, 1.0) if b == np.inf
+             else (a, b, 0.0, 0.0)) + (k, len(edges) - 1)
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+    p_lo, p_hi, anchor, side, p_row, count = np.array(pieces).T
+    p_row = p_row.astype(int)
+    n_rows = len(breaks)
+    # each piece may spend 1/count of its row's tolerance, spread by width
+    share = 1.0 / ((p_hi - p_lo) * count)
+    piece = np.arange(p_lo.size)
+    # the subintervals' ends, values and error estimates, as rows of one array
+    sub = np.array([p_lo, p_hi, *_gk21(fn, p_lo, p_hi, anchor, side, p_row)])
+    total, toterr = np.empty(n_rows), np.empty(n_rows)
+    active = np.ones(n_rows, dtype=bool)
     while True:
-        total, toterr = float(np.sum(res)), float(np.sum(err))
-        if not (np.isfinite(total) and np.isfinite(toterr)):
-            break
-        tol = max(_QUAD_EPSABS, _QUAD_EPSABS * abs(total))
-        if toterr <= tol:
-            break
-        split = np.nonzero(err > tol * (b - a) * share[piece])[0]
+        a, b, res, err = sub
+        row = p_row[piece]
+        bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
+        # only a row that split has a new total; np.add.reduce is np.sum
+        # without its dispatch
+        for k in np.nonzero(active)[0].tolist():
+            total[k] = np.add.reduce(res[bounds[k] : bounds[k + 1]])
+            toterr[k] = np.add.reduce(err[bounds[k] : bounds[k + 1]])
+        tol = np.maximum(_QUAD_EPSABS, _QUAD_EPSABS * np.abs(total))
+        active &= np.isfinite(total) & np.isfinite(toterr) & (toterr > tol)
+        split = np.nonzero(active[row] & (err > tol[row] * (b - a) * share[piece]))[0]
         # at the cap, a piece bisects only its largest errors, as many as it has room for
         split = split[np.lexsort((-err[split], piece[split]))]
         rank = np.arange(split.size) - np.searchsorted(piece[split], piece[split])
-        room = _QUAD_LIMIT - np.bincount(piece, minlength=len(pieces))
+        room = _QUAD_LIMIT - np.bincount(piece, minlength=p_lo.size)
         split = split[rank < room[piece[split]]]
+        active = np.bincount(row[split], minlength=n_rows) > 0
         if split.size == 0:
             break
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mid])
         new_b = np.concatenate([mid, b[split]])
         new_piece = np.tile(piece[split], 2)
-        new_res, new_err = _gk21(fn, new_a, new_b, anchor[new_piece], side[new_piece])
-        keep = np.ones(a.size, dtype=bool)
+        new = _gk21(fn, new_a, new_b, anchor[new_piece], side[new_piece], p_row[new_piece])
+        keep = np.ones(piece.size, dtype=bool)
         keep[split] = False
-        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        # per row: its kept subintervals, its left halves, its right halves
         piece = np.concatenate([piece[keep], new_piece])
-        res, err = np.concatenate([res[keep], new_res]), np.concatenate([err[keep], new_err])
-    if not np.isfinite(total) or not toterr <= max(_QUAD_ACCEPT, _QUAD_ACCEPT * abs(total)):
-        raise QuadratureError(f"quadrature error {toterr:.2e} at value {total:.6e}")
+        order = np.argsort(p_row[piece], kind="stable")
+        piece = piece[order]
+        sub = np.concatenate([sub[:, keep], [new_a, new_b, *new]], axis=1)[:, order]
+    ok = np.isfinite(total) & (toterr <= np.maximum(_QUAD_ACCEPT, _QUAD_ACCEPT * np.abs(total)))
+    if not ok.all():
+        k = np.argmin(ok)
+        raise QuadratureError(f"quadrature error {toterr[k]:.2e} at value {total[k]:.6e}")
     return total
 
 
@@ -862,7 +891,7 @@ def integrate_support(fam: ParametricFamily, fn, breaks=()) -> float:
                 return vals[1]
         raise QuadratureError(f"2-d quadrature error {err:.2e} too large")
 
-    return _integrate_line(fn, 0.0 if fam.support.kind == "halfline" else -np.inf, breaks)
+    return float(_integrate_line(lambda x, row: fn(x), fam, [breaks])[0])
 
 
 def expect(fam: ParametricFamily, theta, h, breaks=()) -> float:

@@ -422,6 +422,60 @@ def test_integrate_support_stops_at_the_subinterval_cap():
     assert sum(seen) >= 2 * families._QUAD_LIMIT * 21
 
 
+def _kinked(x):
+    return np.exp(-np.abs(x - 0.25) - 0.5 * x**2)
+
+
+@pytest.mark.parametrize(
+    "family, rows",
+    [
+        ("gaussian", [
+            # x = +-(1 - t)/t maps each half to the constant 1: the first round converges
+            (lambda x: 1.0 / (1.0 + np.abs(x)) ** 2, [0.0]),
+            (lambda x: np.cos(3.0 * x) * np.exp(-0.5 * (x - 1.0) ** 2), [1.0]),
+            (_kinked, []),
+            (_kinked, [np.nan, np.inf, -np.inf]),
+        ]),
+        ("exponential", [
+            (lambda x: 1.0 / (1.0 + x) ** 2, []),
+            (lambda x: np.where(x > 3.0, x**2, 0.0) * np.exp(-x), [1.0, 3.0]),
+            (lambda x: x**1.5 * np.log1p(x) * np.exp(-2.0 * x), [0.0, -2.0]),
+            (lambda x: np.exp(-x), [np.nan, np.inf, 1.0]),
+        ]),
+    ],
+    ids=["real", "halfline"],
+)
+def test_integrate_line_rows_match_each_row_alone(family, rows):
+    fam = get_family(family)
+    rounds = np.zeros(len(rows), dtype=int)
+
+    def fn(x, row):
+        rounds[np.unique(row)] += 1
+        out = np.empty(x.size)
+        for k, (f, _) in enumerate(rows):
+            out[row == k] = f(x[row == k])
+        return out
+
+    got = families._integrate_line(fn, fam, [breaks for _, breaks in rows])
+    assert rounds[0] == 1 and rounds[1] >= 4
+    assert got[0] == pytest.approx(2.0 if family == "gaussian" else 1.0, abs=1e-15)
+    for k, (f, breaks) in enumerate(rows):
+        alone = families._integrate_line(lambda x, row: f(x), fam, [breaks])
+        assert got[k] == alone[0], k
+
+
+def test_integrate_line_raises_for_one_divergent_row():
+    def rows(*fns):
+        return lambda x, row: np.choose(row, [f(x) for f in fns])
+
+    gauss, laplace = (lambda x: np.exp(-0.5 * x * x)), (lambda x: np.exp(-np.abs(x)))
+    fam = get_family("gaussian")
+    got = families._integrate_line(rows(gauss, laplace), fam, [[0.0], [1.0]])
+    assert got == pytest.approx([math.sqrt(2.0 * math.pi), 2.0], abs=1e-10)
+    with pytest.raises(QuadratureError):
+        families._integrate_line(rows(gauss, np.ones_like, laplace), fam, [[0.0], [0.5], [1.0]])
+
+
 def test_integrate_support_binary_is_exact_sum():
     fam = get_family("bernoulli")
     val = integrate_support(fam, lambda x: np.asarray(x) + 3.0)
