@@ -141,6 +141,17 @@ RUNS.append(("ldp-curve", "crude-gaussian-mle", {
     "family": "gaussian", "theta0": [0.0], "seed": 5, "region": {**HALF, "c": 0.5},
     "event": "mle", "method": "crude", "schedule": SCHEDULE, "budget": BUDGET,
 }))
+# Gaussian psi on the statistic plus its truncated stratum: crude, where about
+# a quarter of the samples at n = 64 are truncated, and tilted at eps = 0.2,
+# where the stratum holds most of the replications
+RUNS.append(("ldp-curve", "crude-gaussian-psi", {
+    "family": "gaussian", "theta0": [0.0], "seed": 5, "region": {**HALF, "c": 0.5},
+    "event": "psi", "method": "crude", "schedule": SCHEDULE, "budget": BUDGET,
+}))
+RUNS.append(("ldp-curve", "gaussian-psi-eps0.2", {
+    "family": "gaussian", "theta0": [0.0], "seed": 5, "region": HALF, "event": "psi",
+    "eps": 0.2, "schedule": SCHEDULE, "budget": BUDGET,
+}))
 # fixed-u curves, one per u, with the point indices 100000 j + i
 RUNS.append(("bahadur-sweep", "bernoulli-mle", {
     "family": "bernoulli", "theta0": [0.5], "seed": 7, "event": "mle", "region": HALF,

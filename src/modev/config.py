@@ -28,12 +28,16 @@ from .regions import RegionSpec
 # events draw their sufficient statistic from its exact law (v1: one stream
 # per replication, full samples).  v3: Laplace replications are drawn as
 # window samples about their middle order statistics (v2: full samples), and
-# complement boxes tilt toward every nearest face.  A manifest of an older
-# schema no longer reproduces its run.
-MANIFEST_SCHEMA = "modev.manifest.v3"
+# complement boxes tilt toward every nearest face.  v4: Gaussian psi events
+# draw the sufficient statistic, plus full samples conditioned on the
+# truncation binding on streams of their own (v3: full samples), and a region
+# other than a half-space no longer records the half-space defaults a and c.
+# A manifest of an older schema no longer reproduces its run.
+MANIFEST_SCHEMA = "modev.manifest.v4"
 _OLD_SCHEMAS = {
     "modev.manifest.v1": "the per-replication RNG contract",
     "modev.manifest.v2": "full-sample Laplace draws",
+    "modev.manifest.v3": "full-sample Gaussian psi draws",
 }
 
 
@@ -66,6 +70,16 @@ def _allowed(name: str) -> list[str]:
 
 def _default(name: str):
     return field(default_factory=lambda: dict(_SECTIONS[name][1]))
+
+
+def _merged(name: str, v: Optional[dict]) -> dict:
+    """A config section merged over its defaults; a region of another shape
+    than the default half-space takes none of the half-space's a and c."""
+    base = _SECTIONS[name][1]
+    v = v or {}
+    if name == "region" and v.get("shape", base["shape"]) != base["shape"]:
+        base = {"shape": base["shape"]}
+    return {**base, **v}
 
 
 def build_section(name: str, d: dict):
@@ -223,7 +237,7 @@ def config_from_dict(cls, raw: dict):
         if f.name in _SECTIONS:
             if v is not None:
                 _reject_unknown(v, _allowed(f.name), f.name + ".")
-            kw[f.name] = {**_SECTIONS[f.name][1], **(v or {})}
+            kw[f.name] = _merged(f.name, v)
         elif isinstance(v, list):
             kw[f.name] = tuple(tuple(x) if isinstance(x, list) else x for x in v)
         else:

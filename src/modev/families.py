@@ -201,6 +201,25 @@ class ParametricFamily:
         """
         return None
 
+    # -- truncation law of the score ------------------------------------------
+    # A family that knows the law of |phi(X)| under its parameters overrides
+    # all three hooks; psi events then draw the untruncated score from the
+    # sufficient statistic and full samples only where the truncation binds.
+    def log_score_tail(self, theta0, thetas, t) -> Optional[np.ndarray]:
+        """log P_theta(|phi(X)| >= t), phi taken at theta0, for one observation
+        under each parameter row of thetas (K, d); None when unknown."""
+        return None
+
+    def draw_score_tail(self, rng: np.random.Generator, theta0, thetas, t):
+        """One observation per parameter row of thetas (R, d), drawn from
+        P_theta(. | |phi(X)| >= t), phi taken at theta0."""
+        raise NotImplementedError
+
+    def score_sum_from_stats(self, stats, n: int, theta0) -> np.ndarray:
+        """(R, d) untruncated score sums sum_i phi(X_i) at theta0 of R samples
+        of size n with sufficient statistics stats (R, k)."""
+        raise NotImplementedError
+
     # -- estimator hooks ---------------------------------------------------
     def mle_batch(self, obs_mat) -> Optional[np.ndarray]:
         """Closed-form estimates for a (reps, n[, obs_dim]) stack, or None."""
@@ -321,6 +340,26 @@ class GaussianLocation(ParametricFamily):
     def loglik_from_stats(self, stats, n, thetas):
         th = thetas[..., 0]
         return th * stats[:, :1] - 0.5 * n * th**2
+
+    def log_score_tail(self, theta0, thetas, t):
+        # |phi(x)| = |x - theta0| / 2 >= t: two normal tails at 2t -+ (theta - theta0)
+        shift = thetas[:, 0] - theta0[0]
+        return np.logaddexp(special.log_ndtr(shift - 2.0 * t), special.log_ndtr(-shift - 2.0 * t))
+
+    def draw_score_tail(self, rng, theta0, thetas, t):
+        # a side by its tail mass, then the normal tail inverted in the log
+        # domain, so that a tail mass of 1e-19 keeps its digits
+        shift = thetas[:, 0] - theta0[0]
+        log_hi = special.log_ndtr(shift - 2.0 * t)
+        log_lo = special.log_ndtr(-shift - 2.0 * t)
+        side, depth = rng.random((2, len(thetas)))
+        upper = side < np.exp(log_hi - np.logaddexp(log_hi, log_lo))
+        log_s = np.where(upper, log_hi, log_lo) + np.log1p(-depth)
+        z = special.ndtri_exp(log_s)
+        return thetas[:, 0] + np.where(upper, -z, z)
+
+    def score_sum_from_stats(self, stats, n, theta0):
+        return (stats - n * theta0) / 2.0
 
     log_tail = _gaussian_log_tail
 

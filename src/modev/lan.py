@@ -24,10 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
-from .families import FisherInfo, ParametricFamily, SampleBatch, fisher_information, product_grid
-
-# observation-by-grid-point log densities held at once by sup_lan_residual
-_SUP_BLOCK_VALUES = 2**18
+from .families import (
+    FisherInfo,
+    ParametricFamily,
+    SampleBatch,
+    fisher_information,
+    loglik_grid,
+    product_grid,
+)
 
 ZETA_SIGN_NOTE = "zeta_n(u) = 2 u'S_eps - n u'Iu/2 (quadratic term negative)"
 
@@ -65,16 +69,27 @@ class LanDecomposition:
     residual: float
 
 
+def _score_and_cut(fam: ParametricFamily, theta0, policy: TruncationPolicy, x):
+    """phi(x) and where |phi(x)| >= eps/u_n, with one temporary the size of
+    the sample axes."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    phi = fam.score_phi(np.asarray(x, dtype=float), theta0)
+    sq = np.asarray(np.einsum("...k,...k->...", phi, phi))  # 0-d for one observation
+    return phi, np.sqrt(sq, out=sq) >= policy.threshold
+
+
 def truncated_score(fam: ParametricFamily, theta0, policy: TruncationPolicy, x) -> np.ndarray:
     """phi(x) where |phi(x)| < eps/u_n, else 0; shaped x's sample axes + (d,):
     (n, d) for one sample (n[, obs_dim]), (R, n, d) for a stack of R, (d,)
     for one observation."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    phi = fam.score_phi(np.asarray(x, dtype=float), theta0)
-    # truncated in place, with one temporary the size of the sample axes
-    sq = np.asarray(np.einsum("...k,...k->...", phi, phi))  # 0-d for one observation
-    phi[np.sqrt(sq, out=sq) >= policy.threshold] = 0.0
+    phi, cut = _score_and_cut(fam, theta0, policy, x)
+    phi[cut] = 0.0
     return phi
+
+
+def truncated_points(fam: ParametricFamily, theta0, policy: TruncationPolicy, x) -> np.ndarray:
+    """Where truncated_score cuts phi to 0, shaped x's sample axes."""
+    return _score_and_cut(fam, theta0, policy, x)[1]
 
 
 def _sum_phi_eps(fam, sample: SampleBatch, theta0, policy) -> np.ndarray:
@@ -180,9 +195,9 @@ def sup_lan_residual(
     """max |sum_xi(u) - zeta_n(u)| over the grid of u with |u| < C u_n.
 
     The supremum is a deterministic grid maximum; grid_step must not exceed
-    u_n / 20.  The log density is evaluated for a block of grid points at a
-    time, as one (block, n) array of at most _SUP_BLOCK_VALUES values, and
-    each row is summed as a lone grid point's sample would be.
+    u_n / 20.  sum_xi is read off one loglik_grid pass over the base point
+    and the grid, so a family with a sufficient statistic takes O(G) after
+    one pass over the sample.
     """
     if grid_step > u_n / 20.0 + 1e-15:
         raise GridError(f"grid_step {grid_step} exceeds u_n/20 = {u_n / 20.0}")
@@ -202,15 +217,9 @@ def sup_lan_residual(
     if not inside.all():
         bad = shifted[int(np.argmin(inside))]
         raise DomainError(f"grid point {bad.tolist()} outside domain")
-    obs = sample.observations
-    lf_base = np.sum(fam.log_density(obs, base))
+    ll = loglik_grid(fam, sample.observations[None], np.concatenate((base[None], shifted)))[0]
     zeta = _zeta(grid, s_eps, sample.n, fisher.matrix)
-    block = max(1, _SUP_BLOCK_VALUES // obs.size)
-    worst = 0.0
-    for lo in range(0, grid.shape[0], block):
-        s_xi = np.sum(fam.log_density(obs, shifted[lo : lo + block, None, :]), axis=-1) - lf_base
-        worst = max(worst, float(np.max(np.abs(s_xi - zeta[lo : lo + block]))))
-    return worst
+    return float(np.max(np.abs(ll[1:] - ll[0] - zeta)))
 
 
 def lr_process(fam: ParametricFamily, sample: SampleBatch, theta0, u) -> float:

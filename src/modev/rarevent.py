@@ -10,10 +10,13 @@ point estimate when no hit is observed.
 
 Determinism contract: the chunk of schedule point i under master seed s whose
 first replication is r draws all its replications from one numpy
-Generator(seed=[s, i, r]), pilot chunks from [s, i, 2^33 + r].  A chunk draws
-the component picks of all its replications first, then its full samples in
-row blocks of at most _BLOCK_VALUES observations, in row order from the same
-generator; since a family's draw reads the generator row after row, the
+Generator(seed=[s, i, r]), pilot chunks from [s, i, 2^33 + r].  A stratified
+psi point (below) draws its main chunks from [s, i, 2^32 + r] instead, so
+that they are not the draws of a statistic event at the same point, and its
+stratum chunks from [s, i, 2^32 + 2^31 + r]; n_reps stays below 2^31.  A
+chunk draws the component picks of all its replications first, then its full
+samples in row blocks of at most _BLOCK_VALUES observations, in row order
+from the same generator; since a family's draw reads the generator row after row, the
 blocks hold exactly the rows one draw of the whole chunk would.  A family
 with a window law (ParametricFamily.draw_window) draws the middle order
 statistics and the counts beyond the window of the whole chunk first, then
@@ -21,7 +24,9 @@ the points inside the window in the same row blocks, row after row.  Every
 replication's arithmetic reads its own row only, and the per-replication
 vectors are joined before the chunk's log-domain reductions.  Chunk bounds
 depend only on the sample size n and partial results are combined in chunk
-order, so output is byte-identical for any worker count.
+order, so output is byte-identical for any worker count.  A stratum's chunk
+bounds also come from chunk_size(n), over its own replication count M, and
+its chunks combine in chunk order too.
 
 Worker processes: chunks fix the streams; sampling.run_chunks runs them in
 tasks that are groups of whole consecutive chunks, and starts processes only
@@ -49,8 +54,16 @@ every parameter the events read, the log density is linear in theta outside
 it, and the score sign(x - theta0)/2 is constant there, so log-likelihood
 differences, the median and psi are those of the full sample.
 
-Other events that read the truncated score (psi, mle_vs_psi, lr_vs_psi2)
-and families with neither hook draw full samples.
+Stratified psi: on a family that knows the law of its score's truncation
+(ParametricFamily.log_score_tail; Gaussian location), a psi event is split as
+p = E_Q[h0 w] + Q(A^c) E_Q[(h - h0) w | A^c], with h the event on the
+truncated score, h0 on the untruncated one (a function of the statistic),
+w the tilt weight and A^c the event that some observation is truncated.  The
+N main replications draw the statistic; M = ceil(N Q(A^c)) stratum
+replications draw full samples conditioned on A^c (_stratum_chunk).
+
+Other events that read the truncated score (psi elsewhere, mle_vs_psi,
+lr_vs_psi2) and families with neither hook draw full samples.
 
 Exact tails (method="exact") are closed forms kept on the families
 (ParametricFamily.log_tail), which read each event's estimator tag.
@@ -74,7 +87,7 @@ from .errors import (
     TiltDomainError,
 )
 from .families import FisherInfo, ParametricFamily, fisher_information, loglik_grid
-from .lan import TruncationPolicy, truncated_score
+from .lan import TruncationPolicy, truncated_points, truncated_score
 from .estimators import (
     LossSpec,
     PriorSpec,
@@ -86,6 +99,10 @@ from .estimators import (
 from .regions import RegionSpec, rate_functional
 from .sampling import rep_rng, run_chunks
 
+# replication indices of a stratified psi point's main and stratum draws,
+# disjoint from the statistic events' and from each other below 2^31 reps
+_PSI_BASE = 2**32
+_STRATUM_BASE = 2**32 + 2**31
 _PILOT_BASE = 2**33  # replication indices for pilot draws, disjoint from main runs
 _PILOT_REPS = 400
 _PILOT_B_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
@@ -154,7 +171,9 @@ class ProbEstimate:
     method: str
     n_reps: int
     seed: int
-    upper_bound: bool = False  # True when log_p is a no-hit bound, not an estimate
+    # True when log_p is a bound, not an estimate: no hits, or a stratified
+    # psi estimate at or below 0 (p_hat then keeps its signed value)
+    upper_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -248,7 +267,10 @@ class _Point:
     read (pickled into workers).
 
     components are the parameters the replications are drawn from, one picked
-    uniformly per replication; point_index keys the chunk streams.
+    uniformly per replication; point_index keys the chunk streams.  log_q
+    holds log P(|phi(X)| >= eps/u_n) for one observation under each
+    component when the point's psi event is stratified (see estimate_prob),
+    else None.
     """
 
     fam: ParametricFamily
@@ -263,6 +285,7 @@ class _Point:
     seed: int
     point_index: int
     components: tuple = ()
+    log_q: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -310,12 +333,17 @@ class _Draws:
 
 
 def _psi_matrix(pt: _Point, draws: _Draws) -> np.ndarray:
-    """psi = n^{-1/2} I^{-1/2} sum of truncated phi, per replication; (R, d)."""
-    phi = truncated_score(pt.fam, pt.theta0, TruncationPolicy(pt.eps, pt.u_n), draws.obs)
-    if draws.counts is None:
-        total = phi.sum(axis=1)
+    """psi = n^{-1/2} I^{-1/2} sum of truncated phi, per replication; (R, d).
+    On a stratified point (log_q set) the score is left untruncated and read
+    from the statistic."""
+    if pt.log_q is not None:
+        total = pt.fam.score_sum_from_stats(draws.stats, pt.n, pt.theta0)
     else:
-        total = np.einsum("rm,rmk->rk", draws.counts, phi)
+        phi = truncated_score(pt.fam, pt.theta0, TruncationPolicy(pt.eps, pt.u_n), draws.obs)
+        if draws.counts is None:
+            total = phi.sum(axis=1)
+        else:
+            total = np.einsum("rm,rmk->rk", draws.counts, phi)
     return (total @ pt.fisher.inv_sqrt.T) / math.sqrt(pt.n)
 
 
@@ -335,11 +363,12 @@ def _window(pt: _Point, mid: np.ndarray):
     return lo, hi
 
 
-def _reads_samples(event) -> bool:
-    """Whether the event reads the truncated score, which no statistic gives."""
-    if isinstance(event, DiscrepancyEvent):
-        return event.kind != "lr_vs_wald"
-    return isinstance(event, PsiEvent)
+def _reads_samples(pt: _Point) -> bool:
+    """Whether the point's event reads the truncated score, which no statistic
+    gives (a stratified psi event reads the untruncated one)."""
+    if isinstance(pt.event, DiscrepancyEvent):
+        return pt.event.kind != "lr_vs_wald"
+    return isinstance(pt.event, PsiEvent) and pt.log_q is None
 
 
 def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> Iterator[_Draws]:
@@ -353,7 +382,7 @@ def _draw_chunk(pt: _Point, start: int, stop: int, stream: int) -> Iterator[_Dra
     reps = stop - start
     pick = rng.integers(len(comps), size=reps) if len(comps) > 1 else np.zeros(reps, dtype=int)
     thetas = comps[pick]
-    stats = None if _reads_samples(pt.event) else fam.draw_stats(rng, thetas, pt.n)
+    stats = None if _reads_samples(pt) else fam.draw_stats(rng, thetas, pt.n)
     if stats is not None:
         yield _Draws(fam, pt.n, stats, None)
         return
@@ -445,39 +474,125 @@ def _discrepancy_indicator(pt: _Point, draws: _Draws) -> np.ndarray:
     return np.abs(sum_xi - quad) > event.delta * n * u_n**2
 
 
+def _log_weights(pt: _Point, lls: list, reps: int) -> np.ndarray:
+    """(reps,) log dP_gen/dQ of a chunk's rows, from their (rows, 1 + K)
+    log-likelihood blocks at theta_gen and the K components (lls is unread
+    when the chunk samples theta_gen itself)."""
+    if not _weighted(pt):
+        return np.zeros(reps)
+    # one logsumexp over the joined rows: a call per block costs more in
+    # overhead than the reduction itself
+    ll = np.concatenate(lls)
+    logq = logsumexp(ll[:, 1:], axis=1) - math.log(len(pt.components))
+    return ll[:, 0] - logq
+
+
+def _weighted(pt: _Point) -> bool:
+    # only sampling from theta_gen itself (crude runs, the pilot at b = 0)
+    # has unit weights; any other component, however close, is weighted
+    comps = pt.components
+    return not (len(comps) == 1 and np.array_equal(comps[0], pt.theta_gen))
+
+
+def _hit_sums(logw: np.ndarray, ind: np.ndarray) -> tuple:
+    """log sum w and log sum w^2 over the rows ind selects (-inf for none)."""
+    if not ind.any():
+        return -math.inf, -math.inf
+    return float(logsumexp(logw[ind])), float(logsumexp(2.0 * logw[ind]))
+
+
 def _sim_chunk(start, stop, pt: _Point):
     """The chunk's hit count and log-domain weight sums over its hits (hits,
     lw_hit, l2w_hit), then how many values it drew (_Draws.values), which
     run_chunks sizes its tasks by."""
-    components = pt.components
-    k_count = len(components)
-    # only sampling from theta_gen itself (crude runs, the pilot at b = 0)
-    # has unit weights; any other component, however close, is weighted
-    weighted = not (k_count == 1 and np.array_equal(components[0], pt.theta_gen))
-    grid = np.stack((pt.theta_gen,) + components)
+    weighted = _weighted(pt)
+    grid = np.stack((pt.theta_gen,) + pt.components)
     lls, inds = [], []
     drawn = 0
-    for draws in _draw_chunk(pt, start, stop, start):
+    stream = start if pt.log_q is None else _PSI_BASE + start
+    for draws in _draw_chunk(pt, start, stop, stream):
         drawn += draws.values()
         if weighted:
             lls.append(draws.loglik(grid))
         inds.append(np.asarray(_indicator(pt, draws), dtype=bool))
-
-    if weighted:
-        # one logsumexp over the joined rows: a call per block costs more in
-        # overhead than the reduction itself
-        ll = np.concatenate(lls)
-        logq = logsumexp(ll[:, 1:], axis=1) - math.log(k_count)
-        logw = ll[:, 0] - logq
-    else:
-        logw = np.zeros(stop - start)
-
     ind = np.concatenate(inds)
-    hits = int(ind.sum())
-    neg_inf = -math.inf
-    lw_hit = float(logsumexp(logw[ind])) if hits else neg_inf
-    l2w_hit = float(logsumexp(2.0 * logw[ind])) if hits else neg_inf
-    return (hits, lw_hit, l2w_hit, drawn)
+    return (int(ind.sum()),) + _hit_sums(_log_weights(pt, lls, stop - start), ind) + (drawn,)
+
+
+def _log_neg_log1p(l):
+    """log(-log1p(-e^l)) for l <= 0; it equals l once e^l is below 1e-17."""
+    small = l < -40.0
+    return np.where(small, l, np.log(-np.log1p(-np.exp(np.where(small, -40.0, l)))))
+
+
+def _log_truncated(log_q, n: int) -> np.ndarray:
+    """log P(A^c) = log(1 - (1 - q)^n), the log probability that some of n
+    observations is truncated, from log q; exact down to q = 0."""
+    y = math.log(n) + _log_neg_log1p(log_q)  # log(-n log1p(-q))
+    small = y < -40.0
+    return np.where(small, y, np.log(-np.expm1(-np.exp(np.where(small, -40.0, y)))))
+
+
+def _first_truncated(log_u, log_q, log_any, n: int) -> np.ndarray:
+    """J - 1, the 0-based index of the first truncated observation of a
+    sample given that one is, by inverting the law of J given J <= n:
+    J - 1 = floor(log1p(-U P(A^c)) / log1p(-q)), from log U (U uniform on
+    (0, 1]), log q and log P(A^c) = _log_truncated(log q, n)."""
+    ratio = np.exp(_log_neg_log1p(log_u + log_any) - _log_neg_log1p(log_q))
+    return np.minimum(np.floor(ratio), n - 1).astype(np.intp)
+
+
+def _stratum_chunk(start, stop, pt: _Point):
+    """Replications start..stop-1 of a stratified psi point's stratum A^c,
+    where the truncation binds at least once, drawn from the tilt mixture
+    conditioned on A^c on the stream _STRATUM_BASE + start.
+
+    A replication picks component k with probability proportional to
+    P_k(A^c), then its first truncated index J from the geometric law of J
+    given J <= n.  The points before J are drawn and any truncated one is
+    redrawn until none is left (exact rejection); point J comes from the
+    family's conditioned draw, the points after J from a plain draw.  Reads:
+    the picks, the uniforms of J, the (R, n) sample, the redraws round by
+    round, then point J of every row.
+
+    Returns the truncated event's hit count; log sum w and log sum w^2 over
+    the rows where only the truncated event holds (h - h0 = 1), then over
+    those where only the untruncated one does (h - h0 = -1); and the values
+    drawn.
+    """
+    fam, n = pt.fam, pt.n
+    rng = rep_rng(pt.seed, pt.point_index, _STRATUM_BASE + start)
+    obs = _draw_stratum(pt, rng, stop - start)
+    draws = _Draws(fam, n, fam.suff_stats(obs), obs)
+    h = np.asarray(_indicator(replace(pt, log_q=None), draws), dtype=bool)
+    h0 = np.asarray(_indicator(pt, draws), dtype=bool)
+    lls = [draws.loglik(np.stack((pt.theta_gen,) + pt.components))] if _weighted(pt) else []
+    logw = _log_weights(pt, lls, stop - start)
+    return (int(h.sum()),) + _hit_sums(logw, h & ~h0) + _hit_sums(logw, h0 & ~h) + (obs.size,)
+
+
+def _draw_stratum(pt: _Point, rng: np.random.Generator, reps: int) -> np.ndarray:
+    """reps full samples from the tilt mixture conditioned on A^c, as
+    _stratum_chunk describes, shaped as the family's draw."""
+    fam, n, theta0 = pt.fam, pt.n, pt.theta0
+    policy = TruncationPolicy(pt.eps, pt.u_n)
+    comps = np.stack(pt.components)
+    log_any = _log_truncated(pt.log_q, n)
+    if len(comps) > 1:
+        pick = rng.choice(len(comps), size=reps, p=np.exp(log_any - logsumexp(log_any)))
+    else:
+        pick = np.zeros(reps, dtype=int)
+    thetas = comps[pick]
+    first = _first_truncated(np.log1p(-rng.random(reps)), pt.log_q[pick], log_any[pick], n)
+    obs = fam.draw(rng, thetas, n)
+    before = np.arange(n) < first[:, None]
+    rows, cols = np.nonzero(truncated_points(fam, theta0, policy, obs) & before)
+    while rows.size:
+        obs[rows, cols] = fam.draw(rng, thetas[rows], 1)[:, 0]
+        again = truncated_points(fam, theta0, policy, obs[rows, cols])
+        rows, cols = rows[again], cols[again]
+    obs[np.arange(reps), first] = fam.draw_score_tail(rng, theta0, thetas, policy.threshold)
+    return obs
 
 
 def _pilot_chunk(start, stop, pt: _Point):
@@ -605,8 +720,8 @@ def estimate_prob(
         raise GridError("eps must be positive")
     if n < 2:
         raise GridError("n must be at least 2")
-    if method != "exact" and n_reps < 1:
-        raise GridError("n_reps must be at least 1")
+    if method != "exact" and not 1 <= n_reps < _STRATUM_BASE - _PSI_BASE:
+        raise GridError("n_reps must be at least 1 and below 2^31")
     theta_gen = theta0 + u_n * b
     if not fam.theta_domain.contains(theta_gen):
         raise DomainError(f"theta_gen {theta_gen.tolist()} outside the parameter domain")
@@ -631,12 +746,13 @@ def estimate_prob(
         method_tag = f"tilted(pilot-b={b_star:g})"
 
     pt = replace(pt, components=tuple(components))
+    if isinstance(event, PsiEvent):
+        pt = replace(pt, log_q=fam.log_score_tail(theta0, np.stack(components), eps / u_n))
     partials = run_chunks(_sim_chunk, n_reps, n, workers, pt)
 
     hits = sum(p[0] for p in partials)
     lw_hit = float(logsumexp(np.array([p[1] for p in partials])))
     l2w_hit = float(logsumexp(np.array([p[2] for p in partials])))
-    log_n = math.log(n_reps)
 
     # Raw weights are heavy-tailed by design under a rare-event tilt, and a
     # deep tilt legitimately concentrates weight on moderately few hits (the
@@ -652,14 +768,82 @@ def estimate_prob(
                 stacklevel=2,
             )
 
+    if pt.log_q is not None:
+        return _stratified_estimate(pt, (hits, lw_hit, l2w_hit), n_reps, workers, method_tag)
     if hits == 0:
-        log_bound = math.log(_ZERO_HIT_NUMERATOR) - log_n
-        return ProbEstimate(0.0, log_bound, math.inf, method_tag, n_reps, seed, upper_bound=True)
+        return _zero_hit_bound(n_reps, method_tag, seed)
 
+    log_n = math.log(n_reps)
     log_p = lw_hit - log_n
     relvar = math.exp(log_n + l2w_hit - 2.0 * lw_hit) - 1.0
     stderr_log = math.sqrt(max(relvar, 0.0) / n_reps)
     return ProbEstimate(math.exp(log_p), log_p, stderr_log, method_tag, n_reps, seed)
+
+
+def _zero_hit_bound(n_reps: int, method_tag: str, seed: int) -> ProbEstimate:
+    log_bound = math.log(_ZERO_HIT_NUMERATOR) - math.log(n_reps)
+    return ProbEstimate(0.0, log_bound, math.inf, method_tag, n_reps, seed, upper_bound=True)
+
+
+def _stratum_reps(n_reps: int, log_truncated: float) -> int:
+    """M = ceil(N Q(A^c)), the replications a plain run of N expects to see
+    truncated; at least one unless Q(A^c) is 0."""
+    if log_truncated == -math.inf:
+        return 0
+    return min(n_reps, max(1, math.ceil(n_reps * math.exp(log_truncated))))
+
+
+def _signed_logsumexp(terms) -> tuple:
+    """(log |sum|, sign of the sum) of sum_j s_j e^{l_j} for (l_j, s_j) terms."""
+    logs, signs = zip(*terms)
+    log_abs, sign = logsumexp(np.array(logs), b=np.array(signs, dtype=float), return_sign=True)
+    return float(log_abs), float(sign)
+
+
+def _stratified_estimate(pt: _Point, main: tuple, n_reps: int, workers: int,
+                         method_tag: str) -> ProbEstimate:
+    """p = E_Q[h0 w] + Q(A^c) E_Q[(h - h0) w | A^c] for a psi event.
+
+    h is the event on the truncated score, h0 on the untruncated one, which
+    the statistic gives; they differ only on A^c, where some observation is
+    truncated.  main holds the main part's h0 hits and log weight sums over
+    N = n_reps replications; the stratum runs M = _stratum_reps replications
+    conditioned on A^c (_stratum_chunk).  p_hat = A + Q(A^c)/M (D+ - D-),
+    with A the main mean and D+- the stratum's signed weight sums, and
+    Var = (m2_0 - A^2)/N + Q(A^c)^2 (m2_D - d^2)/M in population form, all
+    in the log domain.  A non-positive p_hat is flagged as a bound: p_hat
+    keeps its signed value and log_p is log(3 sd), above p_hat + 3 sd.
+    """
+    hits, lw_hit, l2w_hit = main
+    log_qac = float(logsumexp(_log_truncated(pt.log_q, pt.n))) - math.log(len(pt.components))
+    m = _stratum_reps(n_reps, log_qac)
+    strata = run_chunks(_stratum_chunk, m, pt.n, workers, pt) if m else []
+    hits += sum(p[0] for p in strata)
+    if hits == 0:
+        return _zero_hit_bound(n_reps, method_tag, pt.seed)
+    lw_pos, l2w_pos, lw_neg, l2w_neg = (
+        float(logsumexp(np.array([p[j] for p in strata]))) if strata else -math.inf
+        for j in (1, 2, 3, 4)
+    )
+    log_n, log_m = math.log(n_reps), math.log(max(m, 1))
+    log_a = lw_hit - log_n
+    scale = log_qac - log_m
+    log_p, sign = _signed_logsumexp(
+        [(log_a, 1), (scale + lw_pos, 1), (scale + lw_neg, -1)]
+    )
+    log_d, _ = _signed_logsumexp([(lw_pos, 1), (lw_neg, -1)])
+    log_var, var_sign = _signed_logsumexp([
+        (l2w_hit - 2.0 * log_n, 1),
+        (2.0 * log_a - log_n, -1),
+        (2.0 * log_qac + float(np.logaddexp(l2w_pos, l2w_neg)) - 2.0 * log_m, 1),
+        (2.0 * (log_qac + log_d) - 3.0 * log_m, -1),
+    ])
+    log_sd = 0.5 * log_var if var_sign > 0 else -math.inf
+    if sign > 0:
+        return ProbEstimate(math.exp(log_p), log_p, math.exp(log_sd - log_p), method_tag,
+                            n_reps, pt.seed)
+    return ProbEstimate(sign * math.exp(log_p), math.log(_ZERO_HIT_NUMERATOR) + log_sd,
+                        math.inf, method_tag, n_reps, pt.seed, upper_bound=True)
 
 
 def _guard_crude(pt: _Point):

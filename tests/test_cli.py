@@ -264,7 +264,7 @@ def test_v1_manifest_is_rejected_with_the_rng_contract(tmp_path):
          "budget": {"n_reps": 500, "min_reps": 100}},
     )
     manifest = read_manifest(out)
-    assert manifest["schema"] == "modev.manifest.v3"
+    assert manifest["schema"] == "modev.manifest.v4"
     manifest["schema"] = "modev.manifest.v1"
     old = write_config(tmp_path, "old_manifest.json", manifest)
     with pytest.raises(modev.ConfigError, match=r"modev\.manifest\.v1.*RNG"):
@@ -291,6 +291,47 @@ def test_v2_manifest_is_rejected_with_the_laplace_draws(tmp_path):
     rc = main(["ldp-curve", "--config", old, "--out", str(tmp_path / "x"), "--workers", "1"])
     assert rc == 2
     assert not (tmp_path / "x" / "ldp_curve.csv").exists()
+
+
+def test_v3_manifest_is_rejected_with_the_psi_draws(tmp_path):
+    # v3 manifests drew Gaussian psi replications as full samples; v4 draws
+    # the statistic and a truncated stratum, so a v3 psi run would not reproduce
+    _, out = run(
+        tmp_path,
+        "ldp-curve",
+        {"family": "gaussian", "event": "psi", "schedule": {"n_values": [64]},
+         "budget": {"n_reps": 200, "min_reps": 100}},
+    )
+    manifest = read_manifest(out)
+    manifest["schema"] = "modev.manifest.v3"
+    old = write_config(tmp_path, "old_manifest.json", manifest)
+    with pytest.raises(modev.ConfigError, match=r"modev\.manifest\.v3.*Gaussian psi.*RNG"):
+        load_config(old, "ldp-curve")
+    rc = main(["ldp-curve", "--config", old, "--out", str(tmp_path / "x"), "--workers", "1"])
+    assert rc == 2
+    assert not (tmp_path / "x" / "ldp_curve.csv").exists()
+
+
+@pytest.mark.parametrize("region, recorded", [
+    ({"shape": "box", "d": 1, "lo": [1.0], "hi": [2.0]}, {"shape", "d", "lo", "hi"}),
+    ({"shape": "complement_ball", "d": 1, "r": 1.5}, {"shape", "d", "r"}),
+    ({"shape": "complement_box", "d": 1, "lo": [-1.0], "hi": [1.0]}, {"shape", "d", "lo", "hi"}),
+    ({"shape": "half_space", "c": 0.5}, {"shape", "a", "c"}),
+    (None, {"shape", "a", "c"}),
+])
+def test_manifest_records_half_space_defaults_only_for_half_spaces(tmp_path, region, recorded):
+    cfg = {"family": "gaussian", "method": "exact", "schedule": {"n_values": [64]}}
+    if region is not None:
+        cfg["region"] = region
+    rc, out = run(tmp_path, "ldp-curve", cfg)
+    assert rc == 0
+    manifest = read_manifest(out)
+    assert set(manifest["config"]["region"]) == recorded
+    # the manifest reruns to the same curve
+    rc = main(["ldp-curve", "--config", str(out / "manifest.json"), "--out",
+               str(tmp_path / "again"), "--workers", "1"])
+    assert rc == 0
+    assert (tmp_path / "again" / "ldp_curve.csv").read_bytes() == (out / "ldp_curve.csv").read_bytes()
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

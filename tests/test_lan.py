@@ -24,7 +24,6 @@ from modev import (
     truncated_score,
     zeta_n,
 )
-from modev import lan
 from modev.lan import _ball_grid
 
 INACTIVE = TruncationPolicy.inactive()
@@ -161,7 +160,7 @@ def test_sup_residual_zero_for_gaussian():
 
 
 @pytest.mark.parametrize("family", ("gaussian", "laplace", "gaussian2"))
-def test_sup_residual_is_max_of_pointwise_residuals(family, monkeypatch):
+def test_sup_residual_is_max_of_pointwise_residuals(family):
     # the sup and the pointwise record share one quadratic model, so a change
     # to zeta_n shows in both
     fam = get_family(family)
@@ -173,19 +172,44 @@ def test_sup_residual_is_max_of_pointwise_residuals(family, monkeypatch):
     fisher = fisher_information(fam, zero)
     step = u_n / 20
     grid = _ball_grid(fam.d, 2.0 * u_n, step)
-    if family == "gaussian2":
-        # the planar grid spans several blocks of grid points
-        assert grid.shape[0] > 4 * (lan._SUP_BLOCK_VALUES // sample.observations.size)
     sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher)
     pointwise = max(
         abs(lan_residual(fam, sample, zero, zero, u, policy, fisher=fisher).residual)
         for u in grid
     )
-    assert sup > 0.0
+    if family == "gaussian":
+        # nothing is truncated at this eps, and sum_xi = zeta_n holds exactly
+        assert sup == 0.0
+    else:
+        assert sup > 0.0
     assert sup == pytest.approx(pointwise, rel=0, abs=1e-9 * n)
-    # blocks of one grid point each sum every row alone, as a per-point loop does
-    monkeypatch.setattr(lan, "_SUP_BLOCK_VALUES", 1)
-    assert sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher) == sup
+    # against per-point direct sums of the log density over the sample
+    obs = sample.observations
+    s_eps = truncated_score(fam, zero, policy, obs).sum(axis=0)
+    direct = max(
+        abs(np.sum(fam.log_density(obs, u) - fam.log_density(obs, zero))
+            - (2.0 * u @ s_eps - 0.5 * n * u @ fisher.matrix @ u))
+        for u in grid
+    )
+    assert sup == pytest.approx(direct, rel=0, abs=1e-9 * n)
+
+
+def test_gaussian_sup_residual_is_the_truncated_away_sum():
+    # on gaussian at theta0 = 0 and b = 0, sum_xi(u) - zeta_n(u) = u C, with C
+    # the sum of the observations whose score the truncation cuts to 0
+    fam = get_family("gaussian")
+    n, eps = 256, 0.2
+    u_n = n ** (-1.0 / 3.0)
+    zero = np.zeros(1)
+    sample = draw_sample(fam, zero, n, seed=21)
+    x = sample.observations
+    cut = np.abs(x) >= 2.0 * eps / u_n
+    assert cut.any()
+    grid = _ball_grid(1, 2.0 * u_n, u_n / 20)
+    want = float(np.max(np.abs(grid[:, 0] * x[cut].sum())))
+    policy = TruncationPolicy(eps=eps, u_n=u_n)
+    sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, u_n / 20)
+    assert sup == pytest.approx(want, rel=0, abs=1e-9 * n)
 
 
 def test_sup_residual_rejects_coarse_grids():

@@ -42,8 +42,17 @@ from modev import (
 )
 from modev import rarevent, sampling
 from modev.estimators import default_posterior_box, grid_nodes
+from modev.families import GaussianLocation
 
 HALF = lambda c: RegionSpec("half_space", d=1, a=np.array([1.0]), c=c)
+
+
+class _GaussianFullSamples(GaussianLocation):
+    """gaussian without its truncation law: psi draws full samples.  Module
+    level, so that a process pool can unpickle it."""
+
+    def log_score_tail(self, theta0, thetas, t):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +433,7 @@ def test_statistic_events_never_draw_full_samples(monkeypatch):
     draw = type(fam).draw
 
     def counted(self, rng, thetas, n):
-        drawn.append(len(thetas))
+        drawn.append(len(thetas) * n)
         return draw(self, rng, thetas, n)
 
     monkeypatch.setattr(type(fam), "draw", counted)
@@ -433,9 +442,204 @@ def test_statistic_events_never_draw_full_samples(monkeypatch):
                   DiscrepancyEvent("lr_vs_wald", 0.125)):
         estimate_prob(event, fam, np.zeros(1), 400, 0.15, **kw)
     assert drawn == []
-    # the truncated score needs the samples themselves
+    # without a truncation law the truncated score needs the samples themselves
+    estimate_prob(PsiEvent(HALF(1.0)), _GaussianFullSamples(), np.zeros(1), 400, 0.15, **kw)
+    assert sum(drawn) == 300 * 400
+    # with it, only the M = ceil(N Q(A^c)) stratum replications draw samples:
+    # one tilt component at theta = 0.15, truncation at |x| >= 2 eps / u_n
+    drawn.clear()
     estimate_prob(PsiEvent(HALF(1.0)), fam, np.zeros(1), 400, 0.15, **kw)
-    assert sum(drawn) == 300
+    cut = 2 * 0.5 / 0.15
+    q = sps.norm.sf(cut - 0.15) + sps.norm.sf(cut + 0.15)
+    m = math.ceil(300 * -math.expm1(400 * math.log1p(-q)))
+    assert m >= 1
+    assert sum(drawn) == m * 400
+
+
+# ---------------------------------------------------------------------------
+# psi on the statistic plus the truncated stratum (gaussian)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method, n, u, eps", [
+    ("crude", 64, 0.3, 0.5),
+    ("tilted", 400, 400 ** -0.25, 0.5),
+    ("tilted", 64, 0.3, 0.3),  # the truncation binds in almost every sample
+])
+def test_stratified_psi_matches_full_samples(method, n, u, eps):
+    event = PsiEvent(HALF(1.0))
+    kw = dict(method=method, n_reps=4000, eps=eps)
+    strat, full = (
+        [estimate_prob(event, fam, np.zeros(1), n, u, seed=s, **kw) for s in range(8)]
+        for fam in (get_family("gaussian"), _GaussianFullSamples())
+    )
+    assert not any(r.upper_bound for r in strat + full)
+    (ls, ss), (lf, sf) = _pooled(strat), _pooled(full)
+    assert abs(ls - lf) <= 3.0 * math.hypot(ss, sf)
+
+
+def _normal_score_tail(theta0, theta, t):
+    """P(|X - theta0| >= 2t) for X ~ N(theta, 1), by scipy.stats."""
+    return sps.norm.sf(2 * t - (theta - theta0)) + sps.norm.cdf(-2 * t - (theta - theta0))
+
+
+@pytest.mark.parametrize("theta0, thetas, t", [
+    (0.0, [0.0, 0.3, -0.3], 1.0),
+    (0.4, [0.4, 1.9, -1.1], 0.25),
+    # the benchmark's n = 6400 tilt: q about 1e-19
+    (0.0, [6400 ** -0.25], 0.5 * 6400 ** 0.25),
+    (0.0, [0.0, 2.0], 12.0),
+])
+def test_gaussian_score_tail_matches_scipy(theta0, thetas, t):
+    fam = get_family("gaussian")
+    got = np.exp(fam.log_score_tail(np.array([theta0]), np.array(thetas)[:, None], t))
+    want = np.array([_normal_score_tail(theta0, th, t) for th in thetas])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    if t == 0.5 * 6400 ** 0.25:
+        assert 1e-20 < got[0] < 1e-18
+
+
+@pytest.mark.parametrize("theta0, theta, t", [(0.3, 0.5, 1.0), (0.0, 6400 ** -0.25, 0.5 * 6400 ** 0.25)])
+def test_conditioned_draw_matches_its_tail_law(theta0, theta, t):
+    # each side's share is its tail mass, and within a side the conditional
+    # tail probability of a draw, taken in the log domain, is uniform
+    fam = get_family("gaussian")
+    reps = 20_000
+    x = fam.draw_score_tail(np.random.default_rng(5), np.array([theta0]),
+                            np.full((reps, 1), theta), t)
+    z = x - theta
+    log_hi = sps.norm.logsf(2 * t + theta0 - theta)
+    log_lo = sps.norm.logcdf(-2 * t + theta0 - theta)
+    upper = x - theta0 >= 2 * t
+    assert np.all(upper | (x - theta0 <= -2 * t))
+    share = math.exp(log_hi - np.logaddexp(log_hi, log_lo))
+    assert sps.binomtest(int(upper.sum()), reps, share).pvalue > 0.01
+    u_hi = np.exp(sps.norm.logsf(z[upper]) - log_hi)
+    assert sps.kstest(u_hi, "uniform").pvalue > 0.01
+    if (~upper).sum() > 100:
+        u_lo = np.exp(sps.norm.logcdf(z[~upper]) - log_lo)
+        assert sps.kstest(u_lo, "uniform").pvalue > 0.01
+
+
+@pytest.mark.parametrize("q, n", [(0.05, 64), (0.3, 16), (1e-19, 50)])
+def test_first_truncated_index_follows_its_law(q, n):
+    # P(J = j | J <= n) = (1 - q)^(j - 1) q / (1 - (1 - q)^n), j = 1..n
+    reps = 50_000
+    log_q = np.full(reps, math.log(q))
+    log_any = rarevent._log_truncated(log_q, n)
+    assert log_any[0] == pytest.approx(math.log(-math.expm1(n * math.log1p(-q))), rel=1e-12)
+    log_u = np.log1p(-np.random.default_rng(9).random(reps))
+    j = rarevent._first_truncated(log_u, log_q, log_any, n) + 1
+    assert j.min() >= 1 and j.max() <= n
+    js = np.arange(1, n + 1)
+    law = np.exp((js - 1) * math.log1p(-q) + math.log(q) - log_any[0])
+    assert _chisquare_pvalue(np.bincount(j, minlength=n + 1)[1:], law) > 0.01
+
+
+def _chisquare_pvalue(counts, law):
+    """Chi-square p-value of counts against the law, the bins from the first
+    whose expected count is below 5 merged into one."""
+    expected = counts.sum() * law / law.sum()
+    small = expected < 5.0
+    keep = int(np.argmax(small)) if small.any() else len(expected)
+    obs_b = np.append(counts[:keep], counts[keep:].sum())
+    exp_b = np.append(expected[:keep], expected[keep:].sum())
+    return sps.chisquare(obs_b[exp_b > 0], exp_b[exp_b > 0]).pvalue
+
+
+def test_stratum_samples_follow_the_conditioned_law():
+    # two components far apart, one truncated in about 16% of its samples and
+    # the other in 77%: a stratum sample picks k with probability proportional
+    # to P_k(A^c), which its sample mean shows, and its count of truncated
+    # points is then Binomial(n, q_k) given at least one
+    fam = get_family("gaussian")
+    n, u, eps = 64, 0.3, 0.45  # truncation at |x| >= 3
+    comps = (np.array([0.0]), np.array([1.0]))
+    pt = rarevent._Point(
+        fam, PsiEvent(HALF(1.0)), np.zeros(1), np.zeros(1), n, u, np.zeros(1), eps,
+        fisher_information(fam, np.zeros(1)), 0, 0, comps,
+        fam.log_score_tail(np.zeros(1), np.stack(comps), eps / u),
+    )
+    reps = 20_000
+    obs = rarevent._draw_stratum(pt, np.random.default_rng(11), reps)
+    assert obs.shape == (reps, n)
+    qs = [_normal_score_tail(0.0, float(c[0]), eps / u) for c in comps]
+    any_ = np.array([-math.expm1(n * math.log1p(-q)) for q in qs])
+    share = any_ / any_.sum()
+    assert 0.8 < share[1] < 0.85
+    from_second = int((obs.mean(axis=1) > 0.5).sum())
+    assert sps.binomtest(from_second, reps, share[1]).pvalue > 0.01
+    k = rarevent.truncated_points(fam, np.zeros(1), rarevent.TruncationPolicy(eps, u), obs).sum(1)
+    assert k.min() >= 1
+    ks = np.arange(1, n + 1)
+    law = sum(w * sps.binom.pmf(ks, n, q) / a for w, a, q in zip(share, any_, qs))
+    assert _chisquare_pvalue(np.bincount(k, minlength=n + 1)[1:], law) > 0.01
+
+
+def test_stratified_estimate_combines_the_signed_parts(monkeypatch):
+    # one component whose stratum holds Q(A^c) = 1 - (1 - q)^2 of the samples;
+    # N = 100 main replications with two unit-weight hits, and a stratum with
+    # one unit weight where only h holds and `neg` where only h0 does
+    fam = get_family("gaussian")
+    q = 0.3
+    qac = 1.0 - (1.0 - q) ** 2
+    m = math.ceil(100 * qac)
+    pt = rarevent._Point(
+        fam, PsiEvent(HALF(1.0)), np.zeros(1), np.zeros(1), 2, 0.3, np.zeros(1), 0.5,
+        fisher_information(fam, np.zeros(1)), 0, 0, (np.zeros(1),), np.array([math.log(q)]),
+    )
+    main = (2, math.log(2.0), math.log(2.0))
+    for neg in (0, 10):
+        lneg = math.log(neg) if neg else -math.inf
+        monkeypatch.setattr(rarevent, "run_chunks",
+                            lambda fn, reps, n, workers, pt: [(1, 0.0, 0.0, lneg, lneg, 2 * reps)])
+        est = rarevent._stratified_estimate(pt, main, 100, 1, "tilted")
+        a, d, m2 = 0.02, (1.0 - neg) / m, (1.0 + neg) / m
+        p = a + qac * d
+        var = (0.02 - a * a) / 100 + qac**2 * (m2 - d * d) / m
+        assert est.n_reps == 100
+        if p > 0:
+            assert not est.upper_bound
+            assert est.p_hat == pytest.approx(p, rel=1e-12)
+            assert est.stderr_log == pytest.approx(math.sqrt(var) / p, rel=1e-12)
+        else:
+            # never clipped: the signed estimate stays, flagged, with log_p
+            # the bound log(3 sd) above p_hat + 3 sd
+            assert est.upper_bound and est.stderr_log == math.inf
+            assert est.p_hat == pytest.approx(p, rel=1e-12)
+            assert est.log_p == pytest.approx(math.log(3.0 * math.sqrt(var)), rel=1e-12)
+    # the same happens in a real run: at eps = 0.2 nearly every sample is
+    # truncated, and this one's stratum outweighs its main part
+    est = estimate_prob(PsiEvent(HALF(1.0)), fam, np.zeros(1), 256, 0.25, eps=0.2,
+                        n_reps=300, seed=5, point_index=1)
+    assert est.upper_bound and est.p_hat < 0 and math.isfinite(est.log_p)
+
+
+def test_stratified_psi_streams_sit_between_statistic_and_pilot_indices(monkeypatch):
+    streams = []
+    real = rarevent.rep_rng
+
+    def recorded(seed, point_index, stream):
+        streams.append(stream)
+        return real(seed, point_index, stream)
+
+    monkeypatch.setattr(rarevent, "rep_rng", recorded)
+    # chunks of 8192 at n = 64; the stratum holds about 0.95 N
+    estimate_prob(PsiEvent(HALF(1.0)), get_family("gaussian"), np.zeros(1), 64, 0.3, eps=0.3,
+                  n_reps=20_000, seed=3)
+    assert min(streams) >= 2**32 and max(streams) < 2**33
+    main = [s - 2**32 for s in streams if s < 2**32 + 2**31]
+    stratum = [s - 2**32 - 2**31 for s in streams if s >= 2**32 + 2**31]
+    assert main == [0, 8192, 16384]
+    assert stratum[:2] == [0, 8192] and len(stratum) >= 2
+    # the MLE event at the same point draws from the indices below
+    streams.clear()
+    estimate_prob(MleEvent(HALF(1.0)), get_family("gaussian"), np.zeros(1), 64, 0.3,
+                  n_reps=20_000, seed=3)
+    assert streams == [0, 8192, 16384]
+    with pytest.raises(GridError, match="n_reps"):
+        estimate_prob(PsiEvent(HALF(1.0)), get_family("gaussian"), np.zeros(1), 64, 0.3,
+                      n_reps=2**31)
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +674,26 @@ def pool_sizes(monkeypatch):
 POOL_CASES = {
     # window samples, about 440k values in the first chunk of 1952
     # replications: the other ten chunks hold about 4.1M values, four tasks
-    "laplace-lr_vs_wald": ("laplace", DiscrepancyEvent("lr_vs_wald", 0.125), 2049,
-                           2049 ** (-1 / 3), 20_000, 4),
+    "laplace-lr_vs_wald": (get_family("laplace"), DiscrepancyEvent("lr_vs_wald", 0.125), 2049,
+                           2049 ** (-1 / 3), 20_000, 4, 0.5),
     # full samples, 4M values a chunk: four chunks, three tasks of one
-    "gaussian-psi": ("gaussian", PsiEvent(HALF(1.0)), 4000, 0.05, 4000, 3),
+    "gaussian-psi": (_GaussianFullSamples(), PsiEvent(HALF(1.0)), 4000, 0.05, 4000, 3, 0.5),
+    # the statistic, four chunks of 1000 values that start no pool, then the
+    # truncated stratum: at eps = 0.22, M = ceil(0.873 N) = 3492 replications
+    # in chunks of 1000 full samples, three tasks after the first
+    "gaussian-psi-stratum": (get_family("gaussian"), PsiEvent(HALF(1.0)), 4000,
+                             4000 ** -0.25, 4000, 3, 0.22),
 }
 
 
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
 def test_pool_path_leaves_results_bitwise_identical(pool_sizes, case):
-    family, event, n, u, reps, tasks = POOL_CASES[case]
+    fam, event, n, u, reps, tasks, eps = POOL_CASES[case]
     runs = {}
     for w in (1, 2, 3):
         pool_sizes.clear()
-        runs[w] = estimate_prob(event, get_family(family), np.zeros(1), n, u,
-                                n_reps=reps, seed=4, workers=w)
+        runs[w] = estimate_prob(event, fam, np.zeros(1), n, u,
+                                n_reps=reps, seed=4, workers=w, eps=eps)
         assert pool_sizes == ([] if w == 1 else [min(w, tasks)])
     assert runs[1].p_hat > 0
     assert runs[2] == runs[1]
@@ -502,9 +711,9 @@ def test_small_points_start_no_process(pool_sizes):
     # first hold 92k values
     estimate_prob(MleEvent(HALF(1.0)), get_family("gaussian"), np.zeros(1), 400, 400 ** -0.25,
                   n_reps=100_000, seed=1, workers=2)
-    # full samples with the same short tail: 4.2M values after the first
-    # chunk, but one chunk of full size
-    estimate_prob(PsiEvent(HALF(1.0)), get_family("gaussian"), np.zeros(1), 4097,
+    # full samples (psi without a truncation law) with the same short tail:
+    # 4.2M values after the first chunk, but one chunk of full size
+    estimate_prob(PsiEvent(HALF(1.0)), _GaussianFullSamples(), np.zeros(1), 4097,
                   4097 ** -0.25, n_reps=2000, seed=0, workers=2)
     assert pool_sizes == []
 
@@ -570,21 +779,20 @@ def test_rep_rng_streams():
 
 
 BLOCK_CASES = {
-    "laplace-mle_vs_psi": ("laplace", DiscrepancyEvent("mle_vs_psi", 0.125)),
-    "laplace-lr_vs_wald": ("laplace", DiscrepancyEvent("lr_vs_wald", 0.125)),
-    "laplace-lr_vs_psi2": ("laplace", DiscrepancyEvent("lr_vs_psi2", 0.125)),
-    "laplace-mle": ("laplace", MleEvent(HALF(1.0))),
-    "laplace-bayes": ("laplace", BayesEvent(HALF(1.0), PriorSpec.flat())),
-    "gaussian-psi": ("gaussian", PsiEvent(HALF(1.0))),
-    "gaussian2-psi": ("gaussian2", PsiEvent(HALF2)),
+    "laplace-mle_vs_psi": (get_family("laplace"), DiscrepancyEvent("mle_vs_psi", 0.125)),
+    "laplace-lr_vs_wald": (get_family("laplace"), DiscrepancyEvent("lr_vs_wald", 0.125)),
+    "laplace-lr_vs_psi2": (get_family("laplace"), DiscrepancyEvent("lr_vs_psi2", 0.125)),
+    "laplace-mle": (get_family("laplace"), MleEvent(HALF(1.0))),
+    "laplace-bayes": (get_family("laplace"), BayesEvent(HALF(1.0), PriorSpec.flat())),
+    "gaussian-psi": (_GaussianFullSamples(), PsiEvent(HALF(1.0))),
+    "gaussian2-psi": (get_family("gaussian2"), PsiEvent(HALF2)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_row_blocks_leave_chunk_results_unchanged(monkeypatch, case):
     # two components, so the chunk draws its component picks before any row
-    family, event = BLOCK_CASES[case]
-    fam = get_family(family)
+    fam, event = BLOCK_CASES[case]
     n, reps, u = 66, 300, 66 ** (-1.0 / 3.0)
     theta0 = np.zeros(fam.d)
     e1 = np.eye(fam.d)[0]
