@@ -13,6 +13,11 @@ exponential envelope moments (A1/A2), truncated likelihood-ratio moments
 (B), modulus and truncated-score decay rates (C1/C2), gradient moments (D),
 centered log-ratio moments (E), and loss regularity.
 
+Each integral passes integrate_support the parameters its integrand reads,
+such as theta0 and theta0 + tau: a line splits at them and the plane centres
+its window on their mean, except A1/A2's, left at the origin where the abs
+envelope kinks.
+
 B and C1b share one truncated-moment integrator, _truncated_moment: the
 crossings of |g| = t come from one array scan (a root on a scan node
 counts), and every sign change is refined at once by _refine, a batched
@@ -51,6 +56,7 @@ from .families import (
     Box,
     ParametricFamily,
     ScoreModel,
+    _as_step,
     _integrate_line,
     _leggauss,
     expect,
@@ -235,9 +241,9 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
 
     The crossings of |g| = t are sought within distance span of theta.  The
     binary support is summed exactly; 1-d supports are integrated whole by
-    integrate_support, split at the crossings and the given breaks (the
-    points where g or h may kink).  A planar support is integrated in polar
-    coordinates about theta: along each of 64 rays of length span (at most
+    integrate_support, split at theta, the crossings and the given breaks
+    (the other parameters g or h read).  A planar support is integrated in
+    polar coordinates about theta: along each of 64 rays of length span (at most
     60) the crossings split the ray, each active segment gets panelwise
     Gauss-Legendre, and the trapezoid rule over the angle converges
     geometrically for the smooth periodic remainder.  |g| - t is evaluated
@@ -291,11 +297,10 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
         val = float(integrand(on_rays(r, seg_ray[active][seg])) @ w)
         return val * (2.0 * math.pi / _RAYS), over
 
-    breaks = list(breaks)
+    breaks = [theta, *breaks]
     if fam.support.kind != "binary":
-        center = float(theta[0])
-        lo = 0.0 if fam.support.kind == "halfline" else center - span
-        grid = np.linspace(lo, center + span, _SCAN_NODES)
+        lo = 0.0 if fam.support.kind == "halfline" else theta[0] - span
+        grid = np.linspace(lo, theta[0] + span, _SCAN_NODES)
         breaks += _crossings(lambda x: np.abs(g(x)) - t, grid)
     try:
         return integrate_support(fam, integrand, breaks), over
@@ -314,7 +319,7 @@ def _tau_magnitudes(tau_grid) -> np.ndarray:
     return np.array([float(np.linalg.norm(np.atleast_1d(t))) for t in tau_grid])
 
 
-def _dqm_omega(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray, breaks) -> float:
+def _dqm_omega(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray) -> float:
     """E[(sqrt f_{theta0+tau} - sqrt f_theta0 (1 + phi'tau))^2] / |tau|^2.
 
     The residual is O(|tau|^4); it is integrated divided by |tau|^4, so that
@@ -331,7 +336,7 @@ def _dqm_omega(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray, break
         r = np.exp(0.5 * fam.log_density(x, t1)) - root0 * (1.0 + fam.score_phi(x, theta0) @ tau)
         return r * r / (m2 * m2)
 
-    return integrate_support(fam, integrand, breaks) * m2
+    return integrate_support(fam, integrand, [theta0, t1]) * m2
 
 
 def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, ConditionReport]:
@@ -351,12 +356,9 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
 
     per_mag: dict[float, float] = {}
     for tau in tau_grid:
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        m = float(np.linalg.norm(tau))
-        t1 = theta0 + tau
-        breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [theta0]
-        key = float(np.round(m, 12))
-        per_mag[key] = max(per_mag.get(key, 0.0), _dqm_omega(fam, theta0, tau, breaks))
+        tau = _as_step(fam, tau, "tau")
+        key = float(np.round(np.linalg.norm(tau), 12))
+        per_mag[key] = max(per_mag.get(key, 0.0), _dqm_omega(fam, theta0, tau))
 
     order = np.argsort(np.array(list(per_mag)))
     mags_sorted = np.array(list(per_mag))[order]
@@ -503,7 +505,7 @@ def check_moment_b(
     dom = fam.theta_domain
 
     for tau in tau_grid:
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        tau = _as_step(fam, tau, "tau")
         if np.linalg.norm(tau) >= c1 * u_n:
             raise GridError(f"|tau| = {np.linalg.norm(tau):.4g} not below C1 u_n = {c1 * u_n:.4g}")
         # |log LR| grows about like |tau| |x - theta|, so it crosses eps near eps/|tau|
@@ -516,8 +518,7 @@ def check_moment_b(
                 return fam.log_density(x, t1) - fam.log_density(x, theta)
 
             val, ovf = _truncated_moment(
-                fam, theta, lambda x: gamma_n * log_lr(x), log_lr, eps, span,
-                [float(theta[0]), float(t1[0])],
+                fam, theta, lambda x: gamma_n * log_lr(x), log_lr, eps, span, [t1]
             )
             overflow = overflow or ovf
             witnesses.append(Witness({"theta": theta, "tau": tau}, float(val), bound))
@@ -585,9 +586,8 @@ def check_exp_moment(
             return np.exp(gamma * np.asarray(envelope_h(xa)) + fam.log_density(xa, theta))
 
         try:
-            val = integrate_support(
-                fam, integrand, [float(theta[0])] if fam.obs_dim == 1 else []
-            )
+            # no points keep the plane's window on the origin, where |x| kinks
+            val = integrate_support(fam, integrand, [] if fam.support.kind == "real2" else [theta])
         except QuadratureError as e:
             raise DivergenceError(f"exp-moment quadrature failed at theta={theta}: {e}") from e
         if not np.isfinite(val):
@@ -609,23 +609,21 @@ def check_exp_moment(
 
 
 def _detect_divergence(fam, theta, h, gamma):
-    if fam.support.kind == "binary":
+    """Raise DivergenceError where gamma h + log f_theta still rises from
+    distance 40 to 80 along a tail: each side of theta on a line, and on the
+    plane the diagonal from the origin, where check_exp_moment centres its
+    window."""
+    kind = fam.support.kind
+    if kind == "binary":
         return
-    center = float(theta[0]) if fam.obs_dim == 1 else 0.0
-
-    def log_integrand(x):
-        xa = np.asarray(x, dtype=float)
-        return gamma * float(np.asarray(h(xa))) + float(fam.log_density(xa, theta))
-
-    probes = [center + 10.0, center + 20.0, center + 40.0, center + 80.0]
-    if fam.support.kind == "real":
-        probes += [center - 10.0, center - 20.0, center - 40.0, center - 80.0]
-    elif fam.obs_dim == 2:
-        probes = [np.array([center + s, center + s]) / math.sqrt(2) for s in (10, 20, 40, 80)]
-    vals = [log_integrand(p) for p in probes]
-    half = len(vals) // 2 if fam.support.kind == "real" else len(vals)
-    for side in ([vals[:half], vals[half:]] if fam.support.kind == "real" else [vals]):
-        if len(side) >= 2 and side[-1] > side[-2] and side[-1] > -30.0:
+    steps = np.array([40.0, 80.0])
+    if kind == "real2":
+        tails = [np.repeat(steps[:, None] / math.sqrt(2), 2, axis=1)]
+    else:
+        tails = [theta[0] + steps] + ([theta[0] - steps] if kind == "real" else [])
+    for x in tails:
+        far, farther = gamma * np.asarray(h(x)) + fam.log_density(x, theta)
+        if farther > far and farther > -30.0:
             raise DivergenceError("integrand grows along the support tail")
 
 
@@ -678,14 +676,12 @@ def check_c(
             r = np.exp(0.5 * fam.log_density(x, t1)) - np.exp(0.5 * fam.log_density(x, theta0))
             return r * r
 
-        breaks = [float(t1[0]), float(theta0[0])] if fam.obs_dim == 1 else [t1, theta0]
-        omega[k] = _dqm_omega(fam, theta0, tau, breaks)
-        eg2 = integrate_support(fam, g2, breaks)
+        omega[k] = _dqm_omega(fam, theta0, tau)
+        eg2 = integrate_support(fam, g2, [t1, theta0])
         c2_diff[k] = abs(eg2 - float(tau @ fisher.matrix @ tau) / 4.0)
         thr = eps / uk
-        trunc2[k], _ = _truncated_moment(
-            fam, theta0, log_phi2, phi_norm, thr, 14.0 + 8.0 * (thr + 1.0), [float(theta0[0])]
-        )
+        span = 14.0 + 8.0 * (thr + 1.0)
+        trunc2[k], _ = _truncated_moment(fam, theta0, log_phi2, phi_norm, thr, span)
 
     pos = omega > 0
     slope_c1 = _loglog_slope(u[pos], omega[pos]) if np.count_nonzero(pos) >= 2 else math.inf
@@ -806,8 +802,7 @@ def check_e(
     witnesses = []
     fitted_c = 0.0
     for u, v in pair_grid:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
+        u, v = _as_step(fam, u, "u"), _as_step(fam, v, "v")
         tu, tv = theta0 + u, theta0 + v
         for t in (tu, tv):
             if not fam.theta_domain.contains(t):
@@ -824,10 +819,7 @@ def check_e(
             lin = 2.0 * np.where((nrm < eps)[..., None], p, 0.0) @ dvu
             return np.abs(lr - lin) ** beta1
 
-        breaks = (
-            [float(tu[0]), float(tv[0])] if fam.obs_dim == 1 else []
-        )
-        mom = expect(fam, theta0, integrand, breaks=breaks)
+        mom = expect(fam, theta0, integrand, [tu, tv])
         ratio = mom / float(np.linalg.norm(dvu)) ** beta2
         fitted_c = max(fitted_c, ratio)
         witnesses.append(Witness({"u": u, "v": v}, float(mom), float(ratio)))

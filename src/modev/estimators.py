@@ -1,9 +1,12 @@
 """Maximum likelihood and gridded-posterior Bayes estimators.
 
-Every estimator here is the one-sample case of a batch kernel that the Monte
-Carlo also runs.  The MLE is the family's closed form (`mle_batch`, through
-the sufficient statistic where there is one), unclipped, with a warning when
-it sits on the boundary of the parameter box.
+mle and bayes_estimate are the one-sample cases of batch kernels that the
+Monte Carlo also runs (`mle_batch`, `bayes_estimates`).  posterior_mass and
+the psi of test_statistics (lan.psi_n) are one-sample code of their own; the
+Monte Carlo has its own rarevent._posterior_masses and rarevent._psi_matrix.
+The MLE is the family's closed form (`mle_batch`, through the sufficient
+statistic where there is one), unclipped, with a warning when it sits on
+the boundary of the parameter box.
 
 Bayes estimators act on an explicit posterior grid: nodes are per-axis
 np.linspace product grids (`grid_nodes`), raw log-weights are kept

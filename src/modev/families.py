@@ -131,10 +131,16 @@ class ScoreModel:
     omega_fit: np.ndarray
 
 
-def _as_theta(fam: "ParametricFamily", theta) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
+def _as_step(fam: "ParametricFamily", step, name: str) -> np.ndarray:
+    """A length-d parameter vector or displacement; any other length raises."""
+    t = np.atleast_1d(np.asarray(step, dtype=float))
     if t.size != fam.d:
-        raise DomainError(f"theta has dimension {t.size}, family {fam.name} needs {fam.d}")
+        raise DomainError(f"{name} has dimension {t.size}, family {fam.name} needs {fam.d}")
+    return t
+
+
+def _as_theta(fam: "ParametricFamily", theta) -> np.ndarray:
+    t = _as_step(fam, theta, "theta")
     if not fam.theta_domain.contains(t):
         raise DomainError(f"theta {t.tolist()} outside open domain of {fam.name}")
     return t
@@ -813,18 +819,19 @@ def _integrate_line(fn, fam: ParametricFamily, breaks) -> np.ndarray:
     """Adaptive QK21 over the family's 1-d support for every row of breaks
     at once; see integrate_support, which integrates one row.
 
-    breaks[k] holds row k's breakpoints, and fn(x, row) evaluates row
-    row[j]'s integrand at x[j].  Each round calls fn once, on the new
-    subintervals of every row still open.  A row keeps its own pieces,
-    tolerance and subinterval cap, and its subintervals stay contiguous in
-    the order the row alone would give them, so its total, their np.sum, is
-    the row's alone bit for bit.  Returns the rows' integrals; a row that
-    fails raises QuadratureError.
+    breaks[k] holds row k's points, numbers or length-1 vectors, and the
+    row splits at each; fn(x, row) evaluates row row[j]'s integrand at x[j].
+    Each round calls fn once, on the new subintervals of every row still
+    open.  A row keeps its own pieces, tolerance and subinterval cap, and
+    its subintervals stay contiguous in the order the row alone would give
+    them, so its total, their np.sum, is the row's alone bit for bit.
+    Returns the rows' integrals; a row that fails raises QuadratureError.
     """
     lo = 0.0 if fam.support.kind == "halfline" else -np.inf
     pieces = []  # (lo, hi, anchor, side, row, the row's piece count)
     for k, row_breaks in enumerate(breaks):
-        pts = sorted({float(b) for b in row_breaks if np.isfinite(b) and b > lo})
+        pts = np.hstack([[], *row_breaks])
+        pts = sorted({float(b) for b in pts if np.isfinite(b) and b > lo})
         if lo == -np.inf and not pts:
             pts = [0.0]
         edges = [lo] + pts + [np.inf]
@@ -885,22 +892,25 @@ def _integrate_line(fn, fam: ParametricFamily, breaks) -> np.ndarray:
 def integrate_support(fam: ParametricFamily, fn, breaks=()) -> float:
     """Integrate fn over the family's observation space.
 
-    Continuous 1-d supports are split at the supplied breakpoints (typically
-    the parameter values involved, where integrands may have kinks) and
-    integrated by a vectorized adaptive Gauss-Kronrod rule, QUADPACK's QK21:
-    infinite pieces are mapped to t in (0, 1] by x = a +- (1 - t)/t as in
-    QAGI, and a line with no breaks is split at 0.  Each round calls fn once,
-    on the 21 nodes of every new subinterval of every piece, and bisects the
-    subintervals whose error estimate exceeds their share of the tolerance
-    (their piece's equal part, spread by width), at most 200 per piece.  It
-    stops once the summed estimate is at most max(1e-10, 1e-10 |total|); a
-    non-finite total, or an estimate above max(1e-9, 1e-9 |total|) where no
-    subinterval may be bisected further, raises QuadratureError.  fn must be
-    vectorized over a 1-d array of points.
-    The binary support is summed exactly.  The plane uses
-    a tensor Gauss-Legendre rule at orders 96 and 128 on a square window
-    centred at the mean of the 2-d breaks, half-width 14 plus their spread,
-    so the truncated mass of a unit-scale density is below double
+    breaks are points of the observation space, each a number or a
+    length-obs_dim vector such as a parameter: callers pass the parameters
+    their integrand reads, where it may kink or peak.  Continuous 1-d
+    supports are split at every point's coordinate and integrated by a
+    vectorized adaptive Gauss-Kronrod rule, QUADPACK's QK21: infinite pieces
+    are mapped to t in (0, 1] by x = a +- (1 - t)/t as in QAGI, and a line
+    with no points is split at 0.  Each round calls fn once, on the 21 nodes
+    of every new subinterval of every piece, and bisects the subintervals
+    whose error estimate exceeds their share of the tolerance (their piece's
+    equal part, spread by width), at most 200 per piece.  It stops once the
+    summed estimate is at most max(1e-10, 1e-10 |total|); a non-finite
+    total, or an estimate above max(1e-9, 1e-9 |total|) where no subinterval
+    may be bisected further, raises QuadratureError.  fn must be vectorized
+    over a 1-d array of points.
+    The binary support is summed exactly and ignores the points.  The plane
+    uses a tensor Gauss-Legendre rule at orders 96 and 128 on a square window
+    centred at the mean of the 2-vector points (the origin if there are
+    none; numbers are ignored), half-width 14 plus their spread from that
+    mean, so the truncated mass of a unit-scale density is below double
     precision.  The two orders must agree; where they do not, each axis is
     split into two panels meeting at the window centre, which leaves an
     integrand kinked there (|x - theta|^m about theta, a norm envelope about
@@ -910,11 +920,7 @@ def integrate_support(fam: ParametricFamily, fn, breaks=()) -> float:
         return float(fn(np.array(0.0)) + fn(np.array(1.0)))
 
     if fam.support.kind == "real2":
-        centers = [
-            np.asarray(b, dtype=float).reshape(-1)
-            for b in breaks
-            if np.ndim(b) >= 1 and np.size(b) == 2
-        ]
+        centers = [np.asarray(b, dtype=float).reshape(-1) for b in breaks if np.size(b) == 2]
         centers = [c for c in centers if np.all(np.isfinite(c))]
         mid = np.mean(centers, axis=0) if centers else np.zeros(2)
         spread = max((float(np.linalg.norm(c - mid)) for c in centers), default=0.0)
@@ -934,14 +940,16 @@ def integrate_support(fam: ParametricFamily, fn, breaks=()) -> float:
 
 
 def expect(fam: ParametricFamily, theta, h, breaks=()) -> float:
-    """E_theta[h(X)] by quadrature or exact summation."""
+    """E_theta[h(X)] by quadrature or exact summation.
+
+    integrate_support gets theta and the extra points in breaks, such as
+    the other parameters h reads."""
     theta = _as_theta(fam, theta)
 
     def integrand(x):
         return h(x) * np.exp(fam.log_density(x, theta))
 
-    theta_breaks = list(breaks) + ([float(theta[0])] if fam.obs_dim == 1 else [theta])
-    return integrate_support(fam, integrand, theta_breaks)
+    return integrate_support(fam, integrand, [theta, *breaks])
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +978,7 @@ def draw_sample(fam: ParametricFamily, theta, n: int, seed: int) -> SampleBatch:
 def hellinger_g(fam: ParametricFamily, theta0, tau, x):
     """g(x, tau) = sqrt(f(x, theta0+tau)/f(x, theta0)) - 1, vectorized in x."""
     theta0 = _as_theta(fam, theta0)
-    t1 = _as_theta(fam, np.atleast_1d(theta0) + np.atleast_1d(tau))
+    t1 = _as_theta(fam, theta0 + _as_step(fam, tau, "tau"))
     x = np.asarray(x, dtype=float)
     return np.exp(0.5 * (fam.log_density(x, t1) - fam.log_density(x, theta0))) - 1.0
 
@@ -982,18 +990,12 @@ def hellinger_affinity(fam: ParametricFamily, theta0, tau) -> float:
     the oracle side of the test suite.
     """
     theta0 = _as_theta(fam, theta0)
-    theta1 = _as_theta(fam, np.atleast_1d(theta0) + np.atleast_1d(tau))
+    theta1 = _as_theta(fam, theta0 + _as_step(fam, tau, "tau"))
 
     def integrand(x):
         return np.exp(0.5 * (fam.log_density(x, theta0) + fam.log_density(x, theta1)))
 
-    breaks = (
-        [float(theta0[0]), float(theta1[0])]
-        if fam.obs_dim == 1
-        else [np.atleast_1d(theta0), np.atleast_1d(theta1)]
-    )
-    val = integrate_support(fam, integrand, breaks)
-    return min(float(val), 1.0)
+    return min(integrate_support(fam, integrand, [theta0, theta1]), 1.0)
 
 
 def score(fam: ParametricFamily, theta0, x) -> np.ndarray:
@@ -1041,7 +1043,3 @@ def fisher_by_quadrature(fam: ParametricFamily, theta0) -> np.ndarray:
             out[i, j] = out[j, i] = 4.0 * expect(fam, theta0, h)
     return out
 
-
-def density_normalization(fam: ParametricFamily, theta) -> float:
-    """Integral of the density over the support; equals 1 for valid families."""
-    return expect(fam, theta, lambda x: 1.0)

@@ -28,6 +28,7 @@ from .families import (
     FisherInfo,
     ParametricFamily,
     SampleBatch,
+    _as_step,
     fisher_information,
     loglik_grid,
     product_grid,
@@ -131,7 +132,7 @@ def zeta_n(
 ) -> float:
     """2 u'S_eps - n u'Iu/2 with S_eps the truncated score sum."""
     fisher = fisher or fisher_information(fam, theta0)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = _as_step(fam, u, "u")
     s_eps = _sum_phi_eps(fam, sample, theta0, policy)
     return float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
 
@@ -139,8 +140,7 @@ def zeta_n(
 def loglr_sum(fam: ParametricFamily, sample: SampleBatch, theta0, b, u, u_n: float) -> float:
     """sum_i log[f(X_i, theta0 + u_n b + u) / f(X_i, theta0 + u_n b)]."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    b, u = _as_step(fam, b, "b"), _as_step(fam, u, "u")
     base = theta0 + u_n * b
     shifted = base + u
     for t in (base, shifted):
@@ -161,8 +161,7 @@ def lan_residual(
 ) -> LanDecomposition:
     """Full decomposition record at displacement u: residual = sum_xi - zeta_n(u)."""
     fisher = fisher or fisher_information(fam, theta0)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    b, u = _as_step(fam, b, "b"), _as_step(fam, u, "u")
     s_xi = loglr_sum(fam, sample, theta0, b, u, policy.u_n)
     s_eps = _sum_phi_eps(fam, sample, theta0, policy)
     z = float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
@@ -208,7 +207,7 @@ def sup_lan_residual(
     if grid.shape[0] == 0:
         return 0.0
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    b = _as_step(fam, b, "b")
     s_eps = _sum_phi_eps(fam, sample, theta0, policy)
     base = theta0 + u_n * b
     shifted = base + grid

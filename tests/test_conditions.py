@@ -189,13 +189,25 @@ def test_dqm_integrand_stays_finite_in_the_far_tail():
         assert got == pytest.approx(want, rel=1e-8)
 
 
-@pytest.mark.parametrize("family", ("gaussian", "laplace"))
-def test_dqm_small_tau_omega_is_accurate(family):
+@pytest.mark.parametrize(
+    "family, direction",
+    [
+        ("gaussian", [1.0]),
+        ("laplace", [1.0]),
+        ("gaussian2", [1.0, 0.0]),
+        ("gaussian2", [math.sqrt(0.5), math.sqrt(0.5)]),
+    ],
+    ids=["gaussian", "laplace", "gaussian2-axis", "gaussian2-diagonal"],
+)
+def test_dqm_small_tau_omega_is_accurate(family, direction):
     # both families give E[(g - tau phi)^2] in closed form, here as series in
-    # a = tau^2/8 and in tau, free of the cancellation the closed forms suffer
-    _, rep = check_dqm(get_family(family), 0.0, [[1e-3], [1e-2], [1e-1]])
+    # a = tau^2/8 and in tau, free of the cancellation the closed forms suffer;
+    # the isotropic planar Gaussian's is the 1-d Gaussian's at |tau|
+    fam = get_family(family)
+    taus = [m * np.array(direction) for m in (1e-3, 1e-2, 1e-1)]
+    _, rep = check_dqm(fam, np.zeros(fam.d), taus)
     for tau, got in zip((1e-3, 1e-2), rep.parameters["raw_omega"]):
-        if family == "gaussian":
+        if family != "laplace":
             # 2 + tau^2/4 - 2 (1 + tau^2/4) e^{-tau^2/8} = sum_{j>=2} (-1)^j (4j - 2) a^j / j!
             a = tau * tau / 8.0
             terms = [(-1) ** j * (4 * j - 2) * a**j / math.factorial(j) for j in range(2, 30)]

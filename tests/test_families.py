@@ -16,6 +16,10 @@ from modev import (
     DomainError,
     QuadratureError,
     SupportError,
+    TruncationPolicy,
+    check_dqm,
+    check_e,
+    check_moment_b,
     draw_sample,
     expect,
     family_names,
@@ -25,12 +29,16 @@ from modev import (
     hellinger_affinity,
     hellinger_g,
     integrate_support,
+    lan_residual,
     log_density,
+    loglr_sum,
     phi_matrix,
     score,
+    sup_lan_residual,
+    zeta_n,
 )
 from modev import families
-from modev.families import density_normalization, loglik_grid, tensor_rule
+from modev.families import loglik_grid, tensor_rule
 
 ALL_FAMILIES = ("gaussian", "gaussian2", "bernoulli", "exponential", "laplace")
 
@@ -81,14 +89,14 @@ def test_log_density_rejects_points_outside_support():
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_density_normalizes_to_one(name):
     fam = get_family(name)
-    assert density_normalization(fam, theta_for(name)) == pytest.approx(1.0, abs=1e-8)
+    assert expect(fam, theta_for(name), lambda x: 1.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_planar_density_normalization_follows_theta():
     # the window is centred at theta, so the mass near the domain edge is kept
     # (a window centred at 0 drops 2 sf(4.5) = 6.8e-6 of it)
     fam = get_family("gaussian2")
-    assert abs(density_normalization(fam, [9.5, 9.5]) - 1.0) <= 1e-12
+    assert abs(expect(fam, [9.5, 9.5], lambda x: 1.0) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -111,6 +119,39 @@ def test_family_registry():
         get_family("cauchy")
     with pytest.raises(DomainError):
         get_family("bernoulli").validate_theta(1.5)
+
+
+# each entry with its length-1 displacements tau, u, v or b
+_DISPLACEMENT_CALLS = {
+    "hellinger_affinity": lambda fam, t0, s, p: hellinger_affinity(fam, t0, 0.5),
+    "hellinger_g": lambda fam, t0, s, p: hellinger_g(fam, t0, [0.5], s.observations),
+    "loglr_sum": lambda fam, t0, s, p: loglr_sum(fam, s, t0, t0, [0.1], 0.1),
+    "lan_residual": lambda fam, t0, s, p: lan_residual(fam, s, t0, t0, [0.1], p),
+    "zeta_n": lambda fam, t0, s, p: zeta_n(fam, s, t0, p, [0.1]),
+    "sup_lan_residual": lambda fam, t0, s, p: sup_lan_residual(
+        fam, s, t0, [0.5], 1.0, 0.1, p, 0.005
+    ),
+    "check_moment_b": lambda fam, t0, s, p: check_moment_b(fam, t0, 0.1, 0.5, 2.0, [[0.05]]),
+    "check_dqm": lambda fam, t0, s, p: check_dqm(fam, t0, [[1e-3], [1e-2], [1e-1]]),
+    "check_e": lambda fam, t0, s, p: check_e(fam, t0, 0.5, 3.0, 3.0, [([0.0], [0.1])]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DISPLACEMENT_CALLS))
+def test_displacements_of_the_wrong_length_raise(entry):
+    # a length-1 displacement is not broadcast over the plane's two axes, and
+    # stays a 1-d family's own
+    call = _DISPLACEMENT_CALLS[entry]
+    for name in ("gaussian", "gaussian2"):
+        fam = get_family(name)
+        theta0 = np.zeros(fam.d)
+        sample = draw_sample(fam, theta0, 20, seed=1)
+        policy = TruncationPolicy(0.5, 0.1)
+        if fam.d == 1:
+            call(fam, theta0, sample, policy)
+        else:
+            with pytest.raises(DomainError, match="has dimension 1, family gaussian2 needs 2"):
+                call(fam, theta0, sample, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +515,25 @@ def test_integrate_line_raises_for_one_divergent_row():
     assert got == pytest.approx([math.sqrt(2.0 * math.pi), 2.0], abs=1e-10)
     with pytest.raises(QuadratureError):
         families._integrate_line(rows(gauss, np.ones_like, laplace), fam, [[0.0], [0.5], [1.0]])
+
+
+@pytest.mark.parametrize("family", ("gaussian", "exponential", "laplace"))
+def test_parameter_vectors_split_the_line_at_their_coordinate(family):
+    # a length-1 parameter vector is a point of the 1-d observation space:
+    # integrate_support and each row of _integrate_line split there exactly
+    # as at the number
+    fam = get_family(family)
+    theta = theta_for(family)
+    t1 = theta + 0.3
+
+    def fn(x):
+        return np.abs(x - t1[0]) ** 1.5 * np.exp(fam.log_density(x, theta))
+
+    want = integrate_support(fam, fn, [float(theta[0]), float(t1[0])])
+    assert integrate_support(fam, fn, [theta, t1]) == want
+    rows = families._integrate_line(lambda x, row: fn(x), fam, [[theta, t1], [t1], [theta]])
+    alone = [integrate_support(fam, fn, [float(t[0]) for t in ts]) for ts in ([t1], [theta])]
+    assert rows.tolist() == [want, *alone]
 
 
 def test_integrate_support_binary_is_exact_sum():
