@@ -42,6 +42,12 @@ RUNS = [
     ("lan-check", "gaussian2", {"family": "gaussian2", "theta0": [0.0, 0.0], "b": [0.0, 0.0],
                                 **LAN}),
 ]
+# a shifted base theta0 + u_n b and a binding truncation: at eps = 0.1 the
+# Gaussian cuts scores |x - theta0| / 2 >= 0.1 / u_n, and the Laplace score,
+# |phi| = 1/2, is cut at n = 64 (threshold 0.4) and kept at n = 256 (0.63)
+for _family in ("gaussian", "laplace"):
+    RUNS.append(("lan-check", f"{_family}-shifted", {
+        "family": _family, "theta0": [0.0], "b": [0.5], "eps": 0.1, **LAN}))
 for _family, _theta0 in (("gaussian", [0.0]), ("bernoulli", [0.5]), ("exponential", [1.0]),
                          ("gaussian2", [0.0, 0.0])):
     RUNS.append(("equivalence", _family, {

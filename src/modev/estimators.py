@@ -1,9 +1,11 @@
 """Maximum likelihood and gridded-posterior Bayes estimators.
 
 mle and bayes_estimate are the one-sample cases of batch kernels that the
-Monte Carlo also runs (`mle_batch`, `bayes_estimates`).  posterior_mass and
-the psi of test_statistics (lan.psi_n) are one-sample code of their own; the
-Monte Carlo has its own rarevent._posterior_masses and rarevent._psi_matrix.
+Monte Carlo also runs (`mle_batch`, `bayes_estimates`), as the psi of
+test_statistics (lan.psi_n) is of the score-sum kernel rarevent._psi_matrix
+runs.  posterior_mass alone has a Monte Carlo twin of its own,
+rarevent._posterior_masses: it reads raw shifts theta - center on grids of
+up to two dimensions, the twin standardized deviations on 1-d grids.
 The MLE is the family's closed form (`mle_batch`, through the sufficient
 statistic where there is one), unclipped, with a warning when it sits on
 the boundary of the parameter box.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -65,11 +65,11 @@ class Box:
     def width(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def contains(self, theta: np.ndarray, margin: float = 0.0) -> bool:
+    def contains(self, theta: np.ndarray) -> bool:
         t = np.atleast_1d(np.asarray(theta, dtype=float))
         if t.shape != self.lo.shape:
             return False
-        return bool(np.all(t > self.lo + margin) and np.all(t < self.hi - margin))
+        return bool(np.all(t > self.lo) and np.all(t < self.hi))
 
     def clip_interior(self, theta: np.ndarray, margin: float) -> np.ndarray:
         return np.clip(np.atleast_1d(theta), self.lo + margin, self.hi - margin)
@@ -694,22 +694,12 @@ def family_names() -> list[str]:
     return sorted(_FAMILIES)
 
 
-def get_family(name: str, theta_domain: Optional[Box] = None) -> ParametricFamily:
-    """Resolve a family by identifier, optionally narrowing its parameter box."""
+def get_family(name: str) -> ParametricFamily:
+    """Resolve a family by identifier."""
     try:
-        fam = _FAMILIES[name]()
+        return _FAMILIES[name]()
     except KeyError:
         raise DomainError(f"unknown family {name!r}; known: {family_names()}") from None
-    if theta_domain is not None:
-        if theta_domain.d != fam.d:
-            raise DomainError("replacement domain has wrong dimension")
-        if not (
-            np.all(theta_domain.lo >= fam.theta_domain.lo)
-            and np.all(theta_domain.hi <= fam.theta_domain.hi)
-        ):
-            raise DomainError("replacement domain must lie inside the default box")
-        fam = replace(fam, theta_domain=theta_domain)
-    return fam
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ is compared against the quadratic model
 
 where phi_eps truncates phi at |phi| < eps/u_n.  The sign of the quadratic
 term is fixed by the requirement that the Gaussian-location identity
-sum_xi(u) = zeta_n(u) holds exactly; the convention is recorded in every
-emitted report.  The standardized truncated-score statistic is
+sum_xi(u) = zeta_n(u) holds exactly.  The standardized truncated-score
+statistic is
 
     psi_n = n^{-1/2} I(theta0)^{-1/2} sum_i phi_eps(X_i).
+
+sum_xi is read off loglik_grid and sum phi_eps off one row kernel that the
+Monte Carlo shares, so a pointwise residual is the sup's value, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ from .families import (
     loglik_grid,
     product_grid,
 )
-
-ZETA_SIGN_NOTE = "zeta_n(u) = 2 u'S_eps - n u'Iu/2 (quadratic term negative)"
-
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -93,8 +93,13 @@ def truncated_points(fam: ParametricFamily, theta0, policy: TruncationPolicy, x)
     return _score_and_cut(fam, theta0, policy, x)[1]
 
 
-def _sum_phi_eps(fam, sample: SampleBatch, theta0, policy) -> np.ndarray:
-    return truncated_score(fam, theta0, policy, sample.observations).sum(axis=0)
+def _score_sums(fam: ParametricFamily, theta0, policy: TruncationPolicy, obs, counts=None):
+    """(R, d) sums of truncated_score over the rows of obs (R, n[, obs_dim]),
+    each value counted counts (R, n) times when counts is given."""
+    phi = truncated_score(fam, theta0, policy, obs)
+    if counts is None:
+        return phi.sum(axis=1)
+    return np.einsum("rm,rmk->rk", counts, phi)
 
 
 def psi_n(
@@ -105,8 +110,9 @@ def psi_n(
     fisher: FisherInfo | None = None,
 ) -> np.ndarray:
     """n^{-1/2} I^{-1/2} sum phi_eps, shaped (d,)."""
+    theta0 = _as_step(fam, theta0, "theta0")
     fisher = fisher or fisher_information(fam, theta0)
-    s = _sum_phi_eps(fam, sample, theta0, policy)
+    s = _score_sums(fam, theta0, policy, sample.observations[None])[0]
     return fisher.inv_sqrt @ s / np.sqrt(sample.n)
 
 
@@ -131,23 +137,33 @@ def zeta_n(
     fisher: FisherInfo | None = None,
 ) -> float:
     """2 u'S_eps - n u'Iu/2 with S_eps the truncated score sum."""
+    theta0 = _as_step(fam, theta0, "theta0")
     fisher = fisher or fisher_information(fam, theta0)
     u = _as_step(fam, u, "u")
-    s_eps = _sum_phi_eps(fam, sample, theta0, policy)
+    s_eps = _score_sums(fam, theta0, policy, sample.observations[None])[0]
     return float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
+
+
+def _sum_xi(fam: ParametricFamily, sample: SampleBatch, theta0, b, u_n: float, us) -> np.ndarray:
+    """sum_xi at each row of the (G, d) displacements us, as differences of
+    one loglik_grid pass over the base point theta0 + u_n b and the shifted
+    points."""
+    base = theta0 + u_n * b
+    thetas = np.concatenate((base[None], base + us))
+    dom = fam.theta_domain
+    inside = np.all((thetas > dom.lo) & (thetas < dom.hi), axis=1)
+    if not inside.all():
+        bad = thetas[int(np.argmin(inside))]
+        raise DomainError(f"shifted parameter {bad.tolist()} outside domain")
+    ll = loglik_grid(fam, sample.observations[None], thetas)[0]
+    return ll[1:] - ll[0]
 
 
 def loglr_sum(fam: ParametricFamily, sample: SampleBatch, theta0, b, u, u_n: float) -> float:
     """sum_i log[f(X_i, theta0 + u_n b + u) / f(X_i, theta0 + u_n b)]."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    theta0 = _as_step(fam, theta0, "theta0")
     b, u = _as_step(fam, b, "b"), _as_step(fam, u, "u")
-    base = theta0 + u_n * b
-    shifted = base + u
-    for t in (base, shifted):
-        if not fam.theta_domain.contains(t):
-            raise DomainError(f"shifted parameter {t.tolist()} outside domain")
-    obs = sample.observations
-    return float(np.sum(fam.log_density(obs, shifted) - fam.log_density(obs, base)))
+    return float(_sum_xi(fam, sample, theta0, b, u_n, u[None])[0])
 
 
 def lan_residual(
@@ -160,12 +176,12 @@ def lan_residual(
     fisher: FisherInfo | None = None,
 ) -> LanDecomposition:
     """Full decomposition record at displacement u: residual = sum_xi - zeta_n(u)."""
+    theta0 = _as_step(fam, theta0, "theta0")
     fisher = fisher or fisher_information(fam, theta0)
     b, u = _as_step(fam, b, "b"), _as_step(fam, u, "u")
     s_xi = loglr_sum(fam, sample, theta0, b, u, policy.u_n)
-    s_eps = _sum_phi_eps(fam, sample, theta0, policy)
-    z = float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
-    psi = fisher.inv_sqrt @ s_eps / np.sqrt(sample.n)
+    z = zeta_n(fam, sample, theta0, policy, u, fisher)
+    psi = psi_n(fam, sample, theta0, policy, fisher)
     return LanDecomposition(b=b, u=u, sum_xi=s_xi, zeta=z, psi=psi, residual=s_xi - z)
 
 
@@ -202,23 +218,15 @@ def sup_lan_residual(
         raise GridError(f"grid_step {grid_step} exceeds u_n/20 = {u_n / 20.0}")
     if grid_step <= 0:
         raise GridError("grid_step must be positive")
+    theta0 = _as_step(fam, theta0, "theta0")
     fisher = fisher or fisher_information(fam, theta0)
+    b = _as_step(fam, b, "b")
     grid = _ball_grid(fam.d, C * u_n, grid_step)
     if grid.shape[0] == 0:
         return 0.0
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    b = _as_step(fam, b, "b")
-    s_eps = _sum_phi_eps(fam, sample, theta0, policy)
-    base = theta0 + u_n * b
-    shifted = base + grid
-    dom = fam.theta_domain
-    inside = np.all((shifted > dom.lo) & (shifted < dom.hi), axis=1)
-    if not inside.all():
-        bad = shifted[int(np.argmin(inside))]
-        raise DomainError(f"grid point {bad.tolist()} outside domain")
-    ll = loglik_grid(fam, sample.observations[None], np.concatenate((base[None], shifted)))[0]
+    s_eps = _score_sums(fam, theta0, policy, sample.observations[None])[0]
     zeta = _zeta(grid, s_eps, sample.n, fisher.matrix)
-    return float(np.max(np.abs(ll[1:] - ll[0] - zeta)))
+    return float(np.max(np.abs(_sum_xi(fam, sample, theta0, b, u_n, grid) - zeta)))
 
 
 def lr_process(fam: ParametricFamily, sample: SampleBatch, theta0, u) -> float:

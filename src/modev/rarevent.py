@@ -87,7 +87,7 @@ from .errors import (
     TiltDomainError,
 )
 from .families import FisherInfo, ParametricFamily, fisher_information, loglik_grid
-from .lan import TruncationPolicy, truncated_points, truncated_score
+from .lan import TruncationPolicy, _score_sums, truncated_points
 from .estimators import (
     LossSpec,
     PriorSpec,
@@ -339,11 +339,8 @@ def _psi_matrix(pt: _Point, draws: _Draws) -> np.ndarray:
     if pt.log_q is not None:
         total = pt.fam.score_sum_from_stats(draws.stats, pt.n, pt.theta0)
     else:
-        phi = truncated_score(pt.fam, pt.theta0, TruncationPolicy(pt.eps, pt.u_n), draws.obs)
-        if draws.counts is None:
-            total = phi.sum(axis=1)
-        else:
-            total = np.einsum("rm,rmk->rk", draws.counts, phi)
+        policy = TruncationPolicy(pt.eps, pt.u_n)
+        total = _score_sums(pt.fam, pt.theta0, policy, draws.obs, draws.counts)
     return (total @ pt.fisher.inv_sqrt.T) / math.sqrt(pt.n)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import modev
 from modev import PriorSpec, RegionSpec, get_family
-from modev import cli
+from modev import cli, conditions
 from modev.cli import _CURVE_HEADER, _RUNNERS, _build_event, main
 from modev.config import load_config
 
@@ -55,6 +55,33 @@ def test_check_conditions_writes_passing_report(tmp_path):
     man = read_manifest(out)
     assert man["command"] == "check-conditions"
     assert man["artifacts"] == ["conditions.json"]
+
+
+_ENVELOPES = {
+    "abs": {1: np.abs, 2: lambda x: np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)},
+    "square": {1: np.square, 2: lambda x: x[..., 0] ** 2 + x[..., 1] ** 2},
+}
+
+
+@pytest.mark.parametrize("envelope", sorted(_ENVELOPES))
+@pytest.mark.parametrize("family", ("gaussian", "gaussian2"))
+def test_check_conditions_reports_what_the_library_computes(tmp_path, family, envelope):
+    # A1/A2, C and D through the CLI, against direct calls at the config defaults
+    fam = get_family(family)
+    theta0 = np.zeros(fam.d)
+    rc, out = run(
+        tmp_path, "check-conditions",
+        {"family": family, "theta0": theta0.tolist(), "checks": ["exp_moment", "c", "d"],
+         "exp_envelope": envelope},
+    )
+    assert rc == 0
+    got = json.loads((out / "conditions.json").read_text(encoding="utf-8"))
+    want = [
+        conditions.check_exp_moment(fam, theta0, _ENVELOPES[envelope][fam.d], 0.1, bound=1e6),
+        conditions.check_c(fam, theta0, (0.2, 0.1, 0.05, 0.02), 1.0, 1.0, 0.5, bound=1e6),
+        conditions.check_d(fam, 3.0, bound=1e6),
+    ]
+    assert got == [json.loads(json.dumps(rep.to_json())) for rep in want]
 
 
 def test_lan_check_reports_vanishing_residual(tmp_path):

@@ -33,6 +33,7 @@ from modev import (
     log_density,
     loglr_sum,
     phi_matrix,
+    psi_n,
     score,
     sup_lan_residual,
     zeta_n,
@@ -152,6 +153,28 @@ def test_displacements_of_the_wrong_length_raise(entry):
         else:
             with pytest.raises(DomainError, match="has dimension 1, family gaussian2 needs 2"):
                 call(fam, theta0, sample, policy)
+
+
+# each entry with a length-1 theta0 and, where it takes one, a fisher passed,
+# so that fisher_information never sees theta0
+_THETA0_CALLS = {
+    "loglr_sum": lambda fam, s, p, f: loglr_sum(fam, s, [0.0], [0, 0], [0.1, 0], 0.2),
+    "lan_residual": lambda fam, s, p, f: lan_residual(fam, s, [0.0], [0, 0], [0.1, 0], p, f),
+    "zeta_n": lambda fam, s, p, f: zeta_n(fam, s, [0.0], p, [0.1, 0], f),
+    "psi_n": lambda fam, s, p, f: psi_n(fam, s, [0.0], p, f),
+    "sup_lan_residual": lambda fam, s, p, f: sup_lan_residual(
+        fam, s, [0.0], [0, 0], 1.0, 0.1, p, 0.005, f
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_THETA0_CALLS))
+def test_theta0_of_the_wrong_length_raises(entry):
+    fam = get_family("gaussian2")
+    sample = draw_sample(fam, np.zeros(2), 20, seed=1)
+    fisher = fisher_information(fam, np.zeros(2))
+    with pytest.raises(DomainError, match="theta0 has dimension 1, family gaussian2 needs 2"):
+        _THETA0_CALLS[entry](fam, sample, TruncationPolicy(0.5, 0.1), fisher)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,27 @@ def test_sup_residual_is_max_of_pointwise_residuals(family):
     assert sup == pytest.approx(direct, rel=0, abs=1e-9 * n)
 
 
+@pytest.mark.parametrize("family", ("gaussian", "laplace", "gaussian2"))
+def test_pointwise_residual_is_the_sups_value_bit_for_bit(family):
+    # both read sum_xi off loglik_grid and the score sum off one row kernel
+    fam = get_family(family)
+    n = 256
+    u_n = n ** (-1.0 / 3.0)
+    zero = np.zeros(fam.d)
+    policy = TruncationPolicy(eps=0.5, u_n=u_n)
+    fisher = fisher_information(fam, zero)
+    step = u_n / 20
+    grid = _ball_grid(fam.d, 2.0 * u_n, step)
+    for seed in range(5):
+        sample = draw_sample(fam, zero, n, seed=seed)
+        sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher)
+        pointwise = max(
+            abs(lan_residual(fam, sample, zero, zero, u, policy, fisher=fisher).residual)
+            for u in grid
+        )
+        assert sup == pointwise
+
+
 def test_gaussian_sup_residual_is_the_truncated_away_sum():
     # on gaussian at theta0 = 0 and b = 0, sum_xi(u) - zeta_n(u) = u C, with C
     # the sum of the observations whose score the truncation cuts to 0

@@ -415,6 +415,21 @@ def test_statistic_path_matches_full_samples_and_exact_tail(case):
     assert abs(fast.log_p - full.log_p) <= 3.0 * math.hypot(fast.stderr_log, full.stderr_log)
 
 
+def test_gaussian_prior_bayes_matches_the_conjugate_tail():
+    # the conjugate posterior mean (n xbar + m k) / (n + k), k = sd^-2, is
+    # affine in xbar ~ N(0, 1/n): the event est > u is xbar > x*; a flat prior
+    # would give log_ndtr(-3) = -6.61, about 7 stderr off
+    fam = get_family("gaussian")
+    n, u, m, sd = 400, 0.15, 0.1, 0.2
+    k = sd**-2
+    x_star = (u * (n + k) - m * k) / n
+    exact = float(sps.norm.logsf(x_star * math.sqrt(n)))
+    event = BayesEvent(HALF(1.0), PriorSpec.gaussian([m], sd), LossSpec.power(2.0))
+    r = estimate_prob(event, fam, np.zeros(1), n, u, method="tilted", n_reps=4000, seed=21)
+    assert not r.upper_bound
+    assert abs(r.log_p - exact) <= 3.0 * r.stderr_log
+
+
 @pytest.mark.parametrize("name,theta0,n", (("bernoulli", 0.4, 64), ("exponential", 1.0, 256)))
 def test_lr_vs_wald_statistic_path_matches_full_samples(name, theta0, n):
     # no closed form here; the two paths estimate the same probability
