@@ -137,6 +137,13 @@ for _name, _family, _theta0, _extra in (
         "family": _family, "theta0": _theta0, "seed": 5, "region": HALF, "method": "exact",
         "schedule": SCHEDULE, "budget": BUDGET, **_extra,
     }))
+# tilted sampling toward a complement ball mixes over its nearest points, one
+# per signed axis; the exact run above draws nothing
+RUNS.append(("ldp-curve", "gaussian2-complement-ball", {
+    "family": "gaussian2", "theta0": [0.0, 0.0], "seed": 5, "event": "mle",
+    "region": {"shape": "complement_ball", "d": 2, "r": 1.5},
+    "schedule": SCHEDULE, "budget": BUDGET,
+}))
 RUNS.append(("posterior-concentration", "exact", {
     "family": "gaussian", "theta0": [0.0], "seed": 11, "region": HALF, "method": "exact",
     "schedule": SCHEDULE, "budget": BUDGET, "grid_dump_resolution": 64,

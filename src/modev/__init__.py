@@ -34,7 +34,6 @@ from .families import (
     FisherInfo,
     ParametricFamily,
     SampleBatch,
-    ScoreModel,
     Support,
     draw_sample,
     expect,

@@ -151,7 +151,7 @@ def run_check_conditions(cfg: ConditionsConfig, workers: int, out_dir: Path) -> 
         log.info("running condition check %s", name)
         if name == "dqm":
             grid = [m * e for m in cfg.dqm_tau_magnitudes for e in axes]
-            _, rep = check_dqm(fam, theta0, grid)
+            rep = check_dqm(fam, theta0, grid)
         elif name == "a0":
             dom = fam.theta_domain
             pad = 1e-6 * dom.width()

@@ -2,7 +2,8 @@
 
 Every check evaluates its condition on explicit finite grids and returns a
 ConditionReport carrying the verdict, the constants used, and witnesses
-(the measured extremal values with their thresholds).  A fail verdict
+(the measured extremal values with their thresholds; DQM's are its
+(|tau|, isotonic omega) table).  A fail verdict
 always points at a concrete violating input; "inconclusive" exists because
 finiteness over an uncountable neighborhood cannot be certified by finitely
 many evaluations, only refuted.
@@ -55,19 +56,20 @@ from .errors import (
 from .families import (
     Box,
     ParametricFamily,
-    ScoreModel,
     _as_step,
+    _as_theta,
     _integrate_line,
     _leggauss,
+    _signed_axes,
     expect,
     fisher_information,
     hellinger_affinity,
     integrate_support,
     product_grid,
-    score,
 )
 
 DEFAULT_BOUND = 1e6
+_C1 = 2.0  # check_moment_b takes |tau| < C1 u_n
 
 
 @dataclass(frozen=True)
@@ -315,10 +317,6 @@ def _truncated_moment(fam, theta, log_h, g, t: float, span: float, breaks=()) ->
 # ---------------------------------------------------------------------------
 
 
-def _tau_magnitudes(tau_grid) -> np.ndarray:
-    return np.array([float(np.linalg.norm(np.atleast_1d(t))) for t in tau_grid])
-
-
 def _dqm_omega(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray) -> float:
     """E[(sqrt f_{theta0+tau} - sqrt f_theta0 (1 + phi'tau))^2] / |tau|^2.
 
@@ -339,20 +337,21 @@ def _dqm_omega(fam: ParametricFamily, theta0: np.ndarray, tau: np.ndarray) -> fl
     return integrate_support(fam, integrand, [theta0, t1]) * m2
 
 
-def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, ConditionReport]:
+def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> ConditionReport:
     """Fit omega_hat(|tau|) = max_directions E[(g - tau'phi)^2] / |tau|^2.
 
     The grid must span at least two decades of |tau| and reach 1e-3; the
     verdict is pass when the isotonic omega_hat at the smallest magnitude is
-    below 1e-3.
+    below 1e-3.  The witnesses are the (|tau|, isotonic omega_hat) pairs,
+    sorted by magnitude.
     """
-    mags = _tau_magnitudes(tau_grid)
+    mags = np.array([np.linalg.norm(np.atleast_1d(t)) for t in tau_grid])
     uniq = np.unique(np.round(mags, 12))
     if uniq.size < 3:
         raise GridError("tau grid needs at least 3 distinct magnitudes")
     if uniq.min() > 1e-3 * (1 + 1e-9) or uniq.max() / uniq.min() < 100.0 * (1 - 1e-9):
         raise GridError("tau grid must span two decades down to 1e-3")
-    theta0 = fam.validate_theta(theta0)
+    theta0 = _as_theta(fam, theta0)
 
     per_mag: dict[float, float] = {}
     for tau in tau_grid:
@@ -364,20 +363,15 @@ def check_dqm(fam: ParametricFamily, theta0, tau_grid) -> tuple[ScoreModel, Cond
     mags_sorted = np.array(list(per_mag))[order]
     omega = np.array([per_mag[m] for m in mags_sorted])
     omega_iso = np.maximum.accumulate(omega)  # nondecreasing in |tau|
-    table = np.column_stack([mags_sorted, omega_iso])
 
     verdict = "pass" if omega_iso[0] < 1e-3 else "fail"
     witnesses = [Witness(float(m), float(w), 1e-3) for m, w in zip(mags_sorted, omega_iso)]
-    report = ConditionReport(
+    return ConditionReport(
         condition="DQM",
         verdict=verdict,
         parameters={"theta0": theta0, "tolerance": 1e-3, "raw_omega": omega},
         witnesses=witnesses,
     )
-    model = ScoreModel(
-        theta0=theta0, phi_values=lambda x: score(fam, theta0, x), omega_fit=table
-    )
-    return model, report
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +439,11 @@ def check_a0(fam: ParametricFamily, compact: Box, delta: float) -> ConditionRepo
         [np.arange(compact.lo[i], compact.hi[i] + step / 2, step) for i in range(fam.d)]
     )
 
-    margin = 1e-9 * np.max(fam.theta_domain.width())
+    dom = fam.theta_domain
+    margin = 1e-9 * np.max(dom.width())
+    clipped = np.clip(thetas, dom.lo + margin, dom.hi - margin)
     mag_factors = np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.0])
-    directions = []
-    for i in range(fam.d):
-        e = np.zeros(fam.d)
-        e[i] = 1.0
-        directions.extend([e.copy(), -e])
-
-    clipped = np.stack([fam.theta_domain.clip_interior(t, margin) for t in thetas])
-    taus = [delta * f * e for e in directions for f in mag_factors]
+    taus = [delta * f * e for e in _signed_axes(fam.d) for f in mag_factors]
     best, best_at = _a0_scan(fam, clipped, taus)
     if best_at is None:
         raise GridError("no feasible (theta, tau) pair: delta too large for the compact")
@@ -480,7 +469,6 @@ def check_moment_b(
     eps: float,
     gamma_n: float,
     tau_grid,
-    c1: float = 2.0,
     bound: float = DEFAULT_BOUND,
 ) -> ConditionReport:
     """E_theta[(LR 1(|log LR| > eps))^gamma_n] over a theta neighborhood and tau grid.
@@ -491,23 +479,19 @@ def check_moment_b(
     """
     if eps <= 0 or gamma_n < 1:
         raise GridError("need eps > 0 and gamma_n >= 1")
-    theta0 = fam.validate_theta(theta0)
+    theta0 = _as_theta(fam, theta0)
     overflow = False
     worst = 0.0
     worst_at = None
     witnesses = []
 
-    neigh = [theta0]
-    for i in range(fam.d):
-        e = np.zeros(fam.d)
-        e[i] = u_n
-        neigh.extend([theta0 + e, theta0 - e])
+    neigh = [theta0, *(theta0 + u_n * _signed_axes(fam.d))]
     dom = fam.theta_domain
 
     for tau in tau_grid:
         tau = _as_step(fam, tau, "tau")
-        if np.linalg.norm(tau) >= c1 * u_n:
-            raise GridError(f"|tau| = {np.linalg.norm(tau):.4g} not below C1 u_n = {c1 * u_n:.4g}")
+        if np.linalg.norm(tau) >= _C1 * u_n:
+            raise GridError(f"|tau| = {np.linalg.norm(tau):.4g} not below C1 u_n = {_C1 * u_n:.4g}")
         # |log LR| grows about like |tau| |x - theta|, so it crosses eps near eps/|tau|
         span = 2.0 * eps / max(float(np.linalg.norm(tau)), 1e-8) + 60.0
         thetas = [t for t in neigh if dom.contains(t) and dom.contains(t + tau)]
@@ -535,7 +519,7 @@ def check_moment_b(
         "u_n": u_n,
         "eps": eps,
         "gamma_n": gamma_n,
-        "C1": c1,
+        "C1": _C1,
         "bound": bound,
         "overflow_guard": overflow,
         "max_value": worst,
@@ -563,13 +547,8 @@ def check_exp_moment(
     """
     if gamma <= 0:
         raise GridError("gamma must be positive")
-    theta0 = fam.validate_theta(theta0)
-    width = fam.theta_domain.width()
-    offsets = [np.zeros(fam.d)]
-    for i in range(fam.d):
-        e = np.zeros(fam.d)
-        e[i] = 0.05 * width[i]
-        offsets.extend([e.copy(), -e])
+    theta0 = _as_theta(fam, theta0)
+    offsets = [np.zeros(fam.d), *(0.05 * fam.theta_domain.width() * _signed_axes(fam.d))]
 
     worst = 0.0
     worst_theta = theta0
@@ -760,7 +739,7 @@ def check_d(fam: ParametricFamily, m: float, bound: float = DEFAULT_BOUND) -> Co
     for theta in thetas[: 1 if fam.location else None]:
 
         def h(x, theta=theta):
-            return np.linalg.norm(fam.grad_log_density(x, theta), axis=-1) ** m
+            return np.linalg.norm(2.0 * fam.score_phi(x, theta), axis=-1) ** m
 
         val = expect(fam, theta, h)
         if val > worst:
@@ -797,7 +776,7 @@ def check_e(
     """
     if not (beta1 > fam.d and beta2 > fam.d):
         raise GridError("beta1 and beta2 must exceed the parameter dimension")
-    theta0 = fam.validate_theta(theta0)
+    theta0 = _as_theta(fam, theta0)
 
     witnesses = []
     fitted_c = 0.0

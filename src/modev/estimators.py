@@ -36,7 +36,7 @@ from .errors import (
     ResolutionWarning,
     UnderflowError_,
 )
-from .families import Box, ParametricFamily, SampleBatch, fisher_information, loglik_grid
+from .families import Box, ParametricFamily, SampleBatch, _as_theta, fisher_information, loglik_grid
 from .lan import TruncationPolicy, psi_n
 from .regions import RegionSpec
 
@@ -376,13 +376,13 @@ def test_statistics(
     policy: Optional[TruncationPolicy] = None,
 ) -> StatTriple:
     """Wald, score (4 |psi|^2), and likelihood-ratio statistics at theta0."""
-    theta0 = fam.validate_theta(theta0)
+    theta0 = _as_theta(fam, theta0)
     policy = policy or TruncationPolicy.inactive()
     theta_hat = mle(sample, fam)
     fisher = fisher_information(fam, theta0)
     diff = theta_hat - theta0
     wald = float(sample.n * diff @ fisher.matrix @ diff)
-    psi = psi_n(fam, sample, theta0, policy, fisher=fisher)
+    psi = psi_n(fam, sample, theta0, policy)
     rao = float(4.0 * psi @ psi)
     obs = np.asarray(sample.observations, dtype=float)
     ll = loglik_grid(fam, obs[None], np.stack((theta_hat, theta0)))[0]

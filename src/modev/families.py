@@ -71,9 +71,6 @@ class Box:
             return False
         return bool(np.all(t > self.lo) and np.all(t < self.hi))
 
-    def clip_interior(self, theta: np.ndarray, margin: float) -> np.ndarray:
-        return np.clip(np.atleast_1d(theta), self.lo + margin, self.hi - margin)
-
 
 @dataclass(frozen=True)
 class Support:
@@ -117,20 +114,6 @@ class FisherInfo:
     inv_sqrt: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScoreModel:
-    """phi at theta0 plus the fitted root-density modulus table.
-
-    omega_fit rows are (|tau|, omega_hat) sorted by magnitude and made
-    nondecreasing by isotonic post-processing, so omega_hat -> 0 as
-    |tau| -> 0 is directly readable off the first row.
-    """
-
-    theta0: np.ndarray
-    phi_values: Callable
-    omega_fit: np.ndarray
-
-
 def _as_step(fam: "ParametricFamily", step, name: str) -> np.ndarray:
     """A length-d parameter vector or displacement; any other length raises."""
     t = np.atleast_1d(np.asarray(step, dtype=float))
@@ -144,6 +127,12 @@ def _as_theta(fam: "ParametricFamily", theta) -> np.ndarray:
     if not fam.theta_domain.contains(t):
         raise DomainError(f"theta {t.tolist()} outside open domain of {fam.name}")
     return t
+
+
+def _signed_axes(d: int) -> np.ndarray:
+    """The (2d, d) signed unit vectors e_0, -e_0, e_1, -e_1, ..."""
+    eye = np.eye(d)
+    return np.stack((eye, -eye), axis=1).reshape(2 * d, d)
 
 
 @dataclass(frozen=True)
@@ -168,10 +157,6 @@ class ParametricFamily:
     def score_phi(self, x, theta):
         """phi(x): first-order coefficient of g(x, tau) in tau, shaped (..., d)."""
         raise NotImplementedError
-
-    def grad_log_density(self, x, theta):
-        """Classical score; equals 2 phi wherever the density is smooth."""
-        return 2.0 * self.score_phi(x, theta)
 
     def fisher_closed_form(self, theta) -> Optional[np.ndarray]:
         return None
@@ -258,10 +243,6 @@ class ParametricFamily:
         """theta -> the (R,) flat-prior posterior CDFs at theta of R samples of
         size n whose MLE rows are est, or None when there is no closed form."""
         return None
-
-    # -- conveniences --------------------------------------------------
-    def validate_theta(self, theta) -> np.ndarray:
-        return _as_theta(self, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +978,7 @@ def score(fam: ParametricFamily, theta0, x) -> np.ndarray:
 
 def phi_matrix(fam: ParametricFamily, obs, theta0) -> np.ndarray:
     """phi at every observation, shaped (n, d)."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    theta0 = _as_step(fam, theta0, "theta0")
     return fam.score_phi(np.asarray(obs, dtype=float), theta0).reshape(-1, fam.d)
 
 

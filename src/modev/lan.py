@@ -18,6 +18,8 @@ statistic is
 
 sum_xi is read off loglik_grid and sum phi_eps off one row kernel that the
 Monte Carlo shares, so a pointwise residual is the sup's value, bit for bit.
+Every public function checks that theta0 has length d, and those that need
+I(theta0) compute it from theta0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .families import (
-    FisherInfo,
     ParametricFamily,
     SampleBatch,
     _as_step,
@@ -72,8 +73,7 @@ class LanDecomposition:
 
 def _score_and_cut(fam: ParametricFamily, theta0, policy: TruncationPolicy, x):
     """phi(x) and where |phi(x)| >= eps/u_n, with one temporary the size of
-    the sample axes."""
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    the sample axes; theta0 is a length-d array."""
     phi = fam.score_phi(np.asarray(x, dtype=float), theta0)
     sq = np.asarray(np.einsum("...k,...k->...", phi, phi))  # 0-d for one observation
     return phi, np.sqrt(sq, out=sq) >= policy.threshold
@@ -83,37 +83,35 @@ def truncated_score(fam: ParametricFamily, theta0, policy: TruncationPolicy, x) 
     """phi(x) where |phi(x)| < eps/u_n, else 0; shaped x's sample axes + (d,):
     (n, d) for one sample (n[, obs_dim]), (R, n, d) for a stack of R, (d,)
     for one observation."""
-    phi, cut = _score_and_cut(fam, theta0, policy, x)
+    phi, cut = _score_and_cut(fam, _as_step(fam, theta0, "theta0"), policy, x)
     phi[cut] = 0.0
     return phi
 
 
 def truncated_points(fam: ParametricFamily, theta0, policy: TruncationPolicy, x) -> np.ndarray:
     """Where truncated_score cuts phi to 0, shaped x's sample axes."""
-    return _score_and_cut(fam, theta0, policy, x)[1]
+    return _score_and_cut(fam, _as_step(fam, theta0, "theta0"), policy, x)[1]
 
 
 def _score_sums(fam: ParametricFamily, theta0, policy: TruncationPolicy, obs, counts=None):
     """(R, d) sums of truncated_score over the rows of obs (R, n[, obs_dim]),
-    each value counted counts (R, n) times when counts is given."""
-    phi = truncated_score(fam, theta0, policy, obs)
+    each value counted counts (R, n) times when counts is given; theta0 is a
+    length-d array."""
+    phi, cut = _score_and_cut(fam, theta0, policy, obs)
+    phi[cut] = 0.0
     if counts is None:
         return phi.sum(axis=1)
     return np.einsum("rm,rmk->rk", counts, phi)
 
 
 def psi_n(
-    fam: ParametricFamily,
-    sample: SampleBatch,
-    theta0,
-    policy: TruncationPolicy,
-    fisher: FisherInfo | None = None,
+    fam: ParametricFamily, sample: SampleBatch, theta0, policy: TruncationPolicy
 ) -> np.ndarray:
     """n^{-1/2} I^{-1/2} sum phi_eps, shaped (d,)."""
     theta0 = _as_step(fam, theta0, "theta0")
-    fisher = fisher or fisher_information(fam, theta0)
-    s = _score_sums(fam, theta0, policy, sample.observations[None])[0]
-    return fisher.inv_sqrt @ s / np.sqrt(sample.n)
+    fisher = fisher_information(fam, theta0)
+    s_eps = _score_sums(fam, theta0, policy, sample.observations[None])[0]
+    return fisher.inv_sqrt @ s_eps / np.sqrt(sample.n)
 
 
 def _row_dot(a, b) -> np.ndarray:
@@ -129,16 +127,11 @@ def _zeta(u, s_eps, n: int, i_mat) -> np.ndarray:
 
 
 def zeta_n(
-    fam: ParametricFamily,
-    sample: SampleBatch,
-    theta0,
-    policy: TruncationPolicy,
-    u,
-    fisher: FisherInfo | None = None,
+    fam: ParametricFamily, sample: SampleBatch, theta0, policy: TruncationPolicy, u
 ) -> float:
     """2 u'S_eps - n u'Iu/2 with S_eps the truncated score sum."""
     theta0 = _as_step(fam, theta0, "theta0")
-    fisher = fisher or fisher_information(fam, theta0)
+    fisher = fisher_information(fam, theta0)
     u = _as_step(fam, u, "u")
     s_eps = _score_sums(fam, theta0, policy, sample.observations[None])[0]
     return float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
@@ -167,21 +160,16 @@ def loglr_sum(fam: ParametricFamily, sample: SampleBatch, theta0, b, u, u_n: flo
 
 
 def lan_residual(
-    fam: ParametricFamily,
-    sample: SampleBatch,
-    theta0,
-    b,
-    u,
-    policy: TruncationPolicy,
-    fisher: FisherInfo | None = None,
+    fam: ParametricFamily, sample: SampleBatch, theta0, b, u, policy: TruncationPolicy
 ) -> LanDecomposition:
     """Full decomposition record at displacement u: residual = sum_xi - zeta_n(u)."""
     theta0 = _as_step(fam, theta0, "theta0")
-    fisher = fisher or fisher_information(fam, theta0)
+    fisher = fisher_information(fam, theta0)
     b, u = _as_step(fam, b, "b"), _as_step(fam, u, "u")
-    s_xi = loglr_sum(fam, sample, theta0, b, u, policy.u_n)
-    z = zeta_n(fam, sample, theta0, policy, u, fisher)
-    psi = psi_n(fam, sample, theta0, policy, fisher)
+    s_xi = float(_sum_xi(fam, sample, theta0, b, policy.u_n, u[None])[0])
+    s_eps = _score_sums(fam, theta0, policy, sample.observations[None])[0]
+    z = float(_zeta(u[None], s_eps, sample.n, fisher.matrix)[0])
+    psi = fisher.inv_sqrt @ s_eps / np.sqrt(sample.n)
     return LanDecomposition(b=b, u=u, sum_xi=s_xi, zeta=z, psi=psi, residual=s_xi - z)
 
 
@@ -205,7 +193,6 @@ def sup_lan_residual(
     u_n: float,
     policy: TruncationPolicy,
     grid_step: float,
-    fisher: FisherInfo | None = None,
 ) -> float:
     """max |sum_xi(u) - zeta_n(u)| over the grid of u with |u| < C u_n.
 
@@ -219,7 +206,7 @@ def sup_lan_residual(
     if grid_step <= 0:
         raise GridError("grid_step must be positive")
     theta0 = _as_step(fam, theta0, "theta0")
-    fisher = fisher or fisher_information(fam, theta0)
+    fisher = fisher_information(fam, theta0)
     b = _as_step(fam, b, "b")
     grid = _ball_grid(fam.d, C * u_n, grid_step)
     if grid.shape[0] == 0:

@@ -86,8 +86,8 @@ from .errors import (
     GridError,
     TiltDomainError,
 )
-from .families import FisherInfo, ParametricFamily, fisher_information, loglik_grid
-from .lan import TruncationPolicy, _score_sums, truncated_points
+from .families import FisherInfo, ParametricFamily, _as_theta, fisher_information, loglik_grid
+from .lan import TruncationPolicy, _score_and_cut, _score_sums
 from .estimators import (
     LossSpec,
     PriorSpec,
@@ -583,10 +583,10 @@ def _draw_stratum(pt: _Point, rng: np.random.Generator, reps: int) -> np.ndarray
     first = _first_truncated(np.log1p(-rng.random(reps)), pt.log_q[pick], log_any[pick], n)
     obs = fam.draw(rng, thetas, n)
     before = np.arange(n) < first[:, None]
-    rows, cols = np.nonzero(truncated_points(fam, theta0, policy, obs) & before)
+    rows, cols = np.nonzero(_score_and_cut(fam, theta0, policy, obs)[1] & before)
     while rows.size:
         obs[rows, cols] = fam.draw(rng, thetas[rows], 1)[:, 0]
-        again = truncated_points(fam, theta0, policy, obs[rows, cols])
+        again = _score_and_cut(fam, theta0, policy, obs[rows, cols])[1]
         rows, cols = rows[again], cols[again]
     obs[np.arange(reps), first] = fam.draw_score_tail(rng, theta0, thetas, policy.threshold)
     return obs
@@ -707,7 +707,7 @@ def estimate_prob(
     accumulated in the log domain, so estimates remain usable down to
     p ~ exp(-450) and 0 hits yield a flagged one-sided bound.
     """
-    theta0 = fam.validate_theta(theta0)
+    theta0 = _as_theta(fam, theta0)
     b = np.zeros(fam.d) if b is None else np.atleast_1d(np.asarray(b, dtype=float))
     if b.size != fam.d:
         raise DomainError(f"b has dimension {b.size}, expected {fam.d}")

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
+from .families import _signed_axes, product_grid
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,7 @@ class RegionSpec:
         if self.shape == "half_space":
             return [max(self.c, 0.0) * self.a]
         if self.shape == "complement_ball":
-            pts = []
-            for i in range(self.d):
-                e = np.zeros(self.d)
-                e[i] = self.r
-                pts.append(e.copy())
-                pts.append(-e)
-            return pts
+            return list(self.r * _signed_axes(self.d))
         if self.shape == "box":
             return [np.clip(np.zeros(self.d), self.lo, self.hi)]
         # complement_box: if the origin is outside the closed box it is its own
@@ -127,12 +122,7 @@ def rate_functional(region: RegionSpec) -> float:
 
 def rate_functional_grid_oracle(region: RegionSpec, half_width: float = 5.0, step: float = 1e-3) -> float:
     """Brute-force grid search for inf |x|^2; test oracle for rate_functional."""
-    axes = [np.arange(-half_width, half_width + step, step) for _ in range(region.d)]
-    if region.d == 1:
-        pts = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = product_grid([np.arange(-half_width, half_width + step, step)] * region.d)
     mask = region.contains(pts)
     if not np.any(mask):
         return float("inf")

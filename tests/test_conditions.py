@@ -76,7 +76,7 @@ def _a0_pair_grid(fam, compact, delta):
             for f in (1.0, 1.3, 1.7, 2.2, 3.0, 4.0)]
     return [
         (theta, tau)
-        for theta in (fam.theta_domain.clip_interior(t, margin) for t in thetas)
+        for theta in np.clip(thetas, fam.theta_domain.lo + margin, fam.theta_domain.hi - margin)
         for tau in taus
         if fam.theta_domain.contains(theta + tau)
     ]
@@ -169,19 +169,19 @@ def test_a0_rule_hands_untrusted_pairs_to_adaptive_quadrature(fam):
 
 def test_dqm_gaussian_modulus_shrinks():
     taus = [m * np.ones(1) for m in (0.001, 0.01, 0.1)]
-    model, rep = check_dqm(GAUSS, 0.0, taus)
+    rep = check_dqm(GAUSS, 0.0, taus)
     assert rep.verdict == "pass"
     omega = rep.parameters["raw_omega"]
     # mean-square linearization error of sqrt-density ratio is O(|tau|^2)
     assert omega[0] < omega[-1] < 1e-3
-    assert model.omega_fit.shape[1] == 2
-    np.testing.assert_allclose(model.phi_values(np.array([2.0])), [1.0], atol=1e-12)
+    # one witness per |tau|, sorted by magnitude
+    assert [w.input for w in rep.witnesses] == [0.001, 0.01, 0.1]
 
 
 def test_dqm_integrand_stays_finite_in_the_far_tail():
     # exp((l1 - l0)/2) alone overflows where the density underflows at |tau| >= 0.5;
     # E[(g - tau x/2)^2] = 2 + tau^2/4 - 2 (1 + tau^2/4) e^{-tau^2/8} for N(0, 1)
-    _, rep = check_dqm(GAUSS, 0.0, [[1e-3], [1e-2], [1e-1], [0.5], [1.0]])
+    rep = check_dqm(GAUSS, 0.0, [[1e-3], [1e-2], [1e-1], [0.5], [1.0]])
     omega = rep.parameters["raw_omega"]
     for tau, got in zip((0.5, 1.0), omega[3:]):
         t2 = tau * tau
@@ -205,7 +205,7 @@ def test_dqm_small_tau_omega_is_accurate(family, direction):
     # the isotropic planar Gaussian's is the 1-d Gaussian's at |tau|
     fam = get_family(family)
     taus = [m * np.array(direction) for m in (1e-3, 1e-2, 1e-1)]
-    _, rep = check_dqm(fam, np.zeros(fam.d), taus)
+    rep = check_dqm(fam, np.zeros(fam.d), taus)
     for tau, got in zip((1e-3, 1e-2), rep.parameters["raw_omega"]):
         if family != "laplace":
             # 2 + tau^2/4 - 2 (1 + tau^2/4) e^{-tau^2/8} = sum_{j>=2} (-1)^j (4j - 2) a^j / j!

@@ -36,10 +36,12 @@ from modev import (
     psi_n,
     score,
     sup_lan_residual,
+    truncated_score,
     zeta_n,
 )
 from modev import families
 from modev.families import loglik_grid, tensor_rule
+from modev.lan import truncated_points
 
 ALL_FAMILIES = ("gaussian", "gaussian2", "bernoulli", "exponential", "laplace")
 
@@ -119,7 +121,7 @@ def test_family_registry():
     with pytest.raises(DomainError):
         get_family("cauchy")
     with pytest.raises(DomainError):
-        get_family("bernoulli").validate_theta(1.5)
+        score(get_family("bernoulli"), 1.5, [1.0])
 
 
 # each entry with its length-1 displacements tau, u, v or b
@@ -155,16 +157,19 @@ def test_displacements_of_the_wrong_length_raise(entry):
                 call(fam, theta0, sample, policy)
 
 
-# each entry with a length-1 theta0 and, where it takes one, a fisher passed,
-# so that fisher_information never sees theta0
+# each entry with a length-1 theta0, which is not broadcast over the plane's
+# two axes
 _THETA0_CALLS = {
-    "loglr_sum": lambda fam, s, p, f: loglr_sum(fam, s, [0.0], [0, 0], [0.1, 0], 0.2),
-    "lan_residual": lambda fam, s, p, f: lan_residual(fam, s, [0.0], [0, 0], [0.1, 0], p, f),
-    "zeta_n": lambda fam, s, p, f: zeta_n(fam, s, [0.0], p, [0.1, 0], f),
-    "psi_n": lambda fam, s, p, f: psi_n(fam, s, [0.0], p, f),
-    "sup_lan_residual": lambda fam, s, p, f: sup_lan_residual(
-        fam, s, [0.0], [0, 0], 1.0, 0.1, p, 0.005, f
+    "loglr_sum": lambda fam, s, p: loglr_sum(fam, s, [0.0], [0, 0], [0.1, 0], 0.2),
+    "lan_residual": lambda fam, s, p: lan_residual(fam, s, [0.0], [0, 0], [0.1, 0], p),
+    "zeta_n": lambda fam, s, p: zeta_n(fam, s, [0.0], p, [0.1, 0]),
+    "psi_n": lambda fam, s, p: psi_n(fam, s, [0.0], p),
+    "sup_lan_residual": lambda fam, s, p: sup_lan_residual(
+        fam, s, [0.0], [0, 0], 1.0, 0.1, p, 0.005
     ),
+    "truncated_score": lambda fam, s, p: truncated_score(fam, [0.3], p, s.observations),
+    "truncated_points": lambda fam, s, p: truncated_points(fam, [0.3], p, s.observations),
+    "phi_matrix": lambda fam, s, p: phi_matrix(fam, s.observations, [0.3]),
 }
 
 
@@ -172,9 +177,8 @@ _THETA0_CALLS = {
 def test_theta0_of_the_wrong_length_raises(entry):
     fam = get_family("gaussian2")
     sample = draw_sample(fam, np.zeros(2), 20, seed=1)
-    fisher = fisher_information(fam, np.zeros(2))
     with pytest.raises(DomainError, match="theta0 has dimension 1, family gaussian2 needs 2"):
-        _THETA0_CALLS[entry](fam, sample, TruncationPolicy(0.5, 0.1), fisher)
+        _THETA0_CALLS[entry](fam, sample, TruncationPolicy(0.5, 0.1))
 
 
 # ---------------------------------------------------------------------------

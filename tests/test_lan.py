@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from modev import (
+    DomainError,
     GridError,
     MleEvent,
     PsiEvent,
@@ -148,6 +149,15 @@ def test_loglr_sum_has_explicit_shift():
     assert loglr_sum(fam, sample, 0.0, b, u, u_n) == pytest.approx(want, rel=1e-12)
 
 
+def test_loglr_sum_refuses_a_shifted_point_outside_the_domain():
+    # the exponential rate lives on (0.1, 10): the base point 0.2 is inside,
+    # the shifted point 0.2 - 0.15 is not
+    fam = get_family("exponential")
+    sample = draw_sample(fam, 0.2, 50, seed=0)
+    with pytest.raises(DomainError, match=r"shifted parameter \[0.0500+2\] outside domain"):
+        loglr_sum(fam, sample, [0.2], [0.0], [-0.15], 0.1)
+
+
 def test_sup_residual_zero_for_gaussian():
     fam = get_family("gaussian")
     n, u_n = 256, 0.25
@@ -172,9 +182,9 @@ def test_sup_residual_is_max_of_pointwise_residuals(family):
     fisher = fisher_information(fam, zero)
     step = u_n / 20
     grid = _ball_grid(fam.d, 2.0 * u_n, step)
-    sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher)
+    sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step)
     pointwise = max(
-        abs(lan_residual(fam, sample, zero, zero, u, policy, fisher=fisher).residual)
+        abs(lan_residual(fam, sample, zero, zero, u, policy).residual)
         for u in grid
     )
     if family == "gaussian":
@@ -202,14 +212,13 @@ def test_pointwise_residual_is_the_sups_value_bit_for_bit(family):
     u_n = n ** (-1.0 / 3.0)
     zero = np.zeros(fam.d)
     policy = TruncationPolicy(eps=0.5, u_n=u_n)
-    fisher = fisher_information(fam, zero)
     step = u_n / 20
     grid = _ball_grid(fam.d, 2.0 * u_n, step)
     for seed in range(5):
         sample = draw_sample(fam, zero, n, seed=seed)
-        sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step, fisher=fisher)
+        sup = sup_lan_residual(fam, sample, zero, zero, 2.0, u_n, policy, step)
         pointwise = max(
-            abs(lan_residual(fam, sample, zero, zero, u, policy, fisher=fisher).residual)
+            abs(lan_residual(fam, sample, zero, zero, u, policy).residual)
             for u in grid
         )
         assert sup == pointwise

@@ -43,6 +43,7 @@ from modev import (
 from modev import rarevent, sampling
 from modev.estimators import default_posterior_box, grid_nodes
 from modev.families import GaussianLocation
+from modev.lan import truncated_points
 
 HALF = lambda c: RegionSpec("half_space", d=1, a=np.array([1.0]), c=c)
 
@@ -186,6 +187,36 @@ def test_exact_gaussian_box_tails_keep_their_digits():
     got2 = estimate_prob(MleEvent(cbox2), get_family("gaussian2"), np.zeros(2), n, u,
                          method="exact").log_p
     assert got2 == pytest.approx(math.log(4.0) + float(sps.norm.logsf(z)), rel=1e-12)
+
+
+def test_exact_gaussian_box_tails_below_and_across_zero():
+    # a box below 0 reads the lower tail, one across 0 the difference of
+    # distribution functions; a box mirrored through 0 has the same tail
+    fam = get_family("gaussian")
+    n = 400
+    u = n ** -0.25
+    z = math.sqrt(n) * u
+
+    def exact(lo, hi):
+        box = RegionSpec("box", d=1, lo=np.array([lo]), hi=np.array([hi]))
+        return estimate_prob(MleEvent(box), fam, np.zeros(1), n, u, method="exact").log_p
+
+    for lo, hi in ((-2.0, -1.0), (-1.0, 1.0), (-0.5, 2.0)):
+        want = math.log(float(sps.norm.cdf(hi * z) - sps.norm.cdf(lo * z)))
+        assert exact(lo, hi) == pytest.approx(want, rel=1e-12)
+    assert exact(-40.0, -38.0) == exact(38.0, 40.0) == -14446.054425452758
+
+
+def test_exact_bayes_tails_refuse_a_gaussian_prior_and_other_losses():
+    fam = get_family("gaussian")
+    prior = PriorSpec.gaussian([0.1], 0.2)
+    for event, kind in ((BayesEvent(HALF(1.0), prior), "BayesEvent"),
+                        (PosteriorMassEvent(HALF(1.0), prior=prior), "PosteriorMassEvent")):
+        with pytest.raises(DomainError, match=f"exact {kind} tails need a flat prior"):
+            estimate_prob(event, fam, np.zeros(1), 400, 0.15, method="exact")
+    with pytest.raises(DomainError, match="exact Bayes tails need squared or 1-d absolute loss"):
+        estimate_prob(BayesEvent(HALF(1.0), loss=LossSpec.power(3.0)), fam, np.zeros(1), 400,
+                      0.15, method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +615,7 @@ def test_stratum_samples_follow_the_conditioned_law():
     assert 0.8 < share[1] < 0.85
     from_second = int((obs.mean(axis=1) > 0.5).sum())
     assert sps.binomtest(from_second, reps, share[1]).pvalue > 0.01
-    k = rarevent.truncated_points(fam, np.zeros(1), rarevent.TruncationPolicy(eps, u), obs).sum(1)
+    k = truncated_points(fam, np.zeros(1), rarevent.TruncationPolicy(eps, u), obs).sum(1)
     assert k.min() >= 1
     ks = np.arange(1, n + 1)
     law = sum(w * sps.binom.pmf(ks, n, q) / a for w, a, q in zip(share, any_, qs))
@@ -997,6 +1028,20 @@ def test_ldp_curve_target_and_determinism():
     assert [p.estimate.log_p for p in c1.points] == [p.estimate.log_p for p in c2.points]
     # in the moderate zone the normalized rate sits above the target
     assert all(rate > c1.target for rate in c1.normalized_rates())
+
+
+def test_ldp_curve_shifts_every_point_by_the_schedules_b():
+    fam = get_family("exponential")
+    theta0 = np.ones(1)
+    shifted = ldp_curve(MleEvent(HALF(1.0)), fam, theta0,
+                        DeviationSchedule((400, 1600), 0.25, b=[0.5]), method="exact")
+    plain = ldp_curve(MleEvent(HALF(1.0)), fam, theta0,
+                      DeviationSchedule((400, 1600), 0.25), method="exact")
+    got = [p.estimate.log_p for p in shifted.points]
+    want = [estimate_prob(MleEvent(HALF(1.0)), fam, theta0, n, n**-0.25, b=[0.5],
+                          method="exact").log_p for n in (400, 1600)]
+    assert got == want == [-8.51530250701092, -16.880532678245764]
+    assert [p.estimate.log_p for p in plain.points] == [-9.892058957958733, -19.068694398901087]
 
 
 def test_ldp_curve_budget_caps_replications():
